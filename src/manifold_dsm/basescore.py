@@ -82,12 +82,23 @@ def _sphere_radius(x: np.ndarray) -> np.ndarray:
 def _softmax_weights(x, sigma, points, log_probs=None) -> np.ndarray:
     """Posterior weights over support points for queries x, shape (..., N)."""
     diff = x[..., None, :] - points
-    expo = -np.sum(diff * diff, axis=-1) / (2.0 * sigma[..., None] ** 2)
+    np.multiply(diff, diff, out=diff)
+    expo = np.sum(diff, axis=-1)
+    np.negative(expo, out=expo)
+    expo /= 2.0 * sigma[..., None] ** 2
     if log_probs is not None:
-        expo = expo + log_probs
+        expo += log_probs
     expo -= np.max(expo, axis=-1, keepdims=True)
-    w = np.exp(expo)
-    return w / np.sum(w, axis=-1, keepdims=True)
+    np.exp(expo, out=expo)
+    expo /= np.sum(expo, axis=-1, keepdims=True)
+    return expo
+
+
+def _score_from_mean(mean, x, sigma) -> np.ndarray:
+    """(mean - x)/sigma^2, computed in mean's buffer."""
+    mean -= x
+    mean /= np.asarray(sigma)[..., None] ** 2
+    return mean
 
 
 def posterior_mean_discrete(x, sigma, support) -> np.ndarray:
@@ -102,8 +113,7 @@ def base_score_discrete(x, sigma, support) -> np.ndarray:
     """(posterior mean - x)/sigma^2 for the uniform discrete measure."""
     points = _points_of(support)
     x, sigma = _check_xy_sigma(x, sigma, points.shape[1])
-    mean = posterior_mean_discrete(x, sigma, points)
-    return (mean - x) / np.asarray(sigma)[..., None] ** 2
+    return _score_from_mean(posterior_mean_discrete(x, sigma, points), x, sigma)
 
 
 def exact_score_discrete(x, sigma, points, probs) -> np.ndarray:
@@ -124,8 +134,7 @@ def exact_score_discrete(x, sigma, points, probs) -> np.ndarray:
     w = _softmax_weights(
         x, np.broadcast_to(sigma, x.shape[:-1]), points, log_probs=np.log(probs)
     )
-    mean = w @ points
-    return (mean - x) / np.asarray(sigma)[..., None] ** 2
+    return _score_from_mean(w @ points, x, sigma)
 
 
 def base_score_nsphere(x, sigma, n: int) -> np.ndarray:

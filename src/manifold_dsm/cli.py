@@ -32,7 +32,7 @@ from .errors import (
     TrainingDivergedError,
     UnreliableEstimateError,
 )
-from .geometry import DiscreteSet, RotationGroup, Sphere, build_symmetry_group
+from .geometry import DiscreteSet, RotationGroup, Sphere, build_symmetry_group, project
 from .metrics import MetricReport, append_metric, discrete_tv, format_line, manifold_drift, mmd, spread
 from .mlp import MlpConfig, forward, load_checkpoint, save_checkpoint, train
 
@@ -285,8 +285,10 @@ def cmd_train(args) -> int:
     save_checkpoint(out / "checkpoint.bin", params, model, extras)
     _write_loss_csv(out / "loss.csv", curve)
     _write_json(out / "train.config.json", resolved)
-    final = float(curve[-100:].mean()) if curve.size else float("nan")
-    print(f"trained {training['steps']} steps; final-100 mean loss {final}")
+    message = f"trained {training['steps']} steps"
+    if curve.size:
+        message += f"; final-100 mean loss {float(curve[-100:].mean())}"
+    print(message)
     return 0
 
 
@@ -314,13 +316,14 @@ def cmd_sample(args) -> int:
 
     seed = 0 if args.seed is None else args.seed
     field = _score_field(params, model, extras["loss_kind"], manifold)
-    batch = reverse_sample(
-        field, schedule, args.n, manifold, np.random.default_rng(seed),
-        project_final=args.project,
-    )
+    samples = reverse_sample(
+        field, schedule, args.n, manifold, np.random.default_rng(seed)
+    ).samples
+    drift = manifold_drift(samples) if args.n > 0 else None
+    if args.project:
+        samples = project(samples, manifold)
     out = _ensure_out(args.out, None)
-    _write_samples_csv(out / "samples.csv", batch.samples)
-    drift = manifold_drift(batch.samples) if args.n > 0 else None
+    _write_samples_csv(out / "samples.csv", samples)
     if drift is not None:
         report = MetricReport(
             name="manifold_drift",

@@ -10,10 +10,13 @@ Training regresses sigma * output against a residual target (see diffusion):
 loss = mean over rows of ||sigma f - target||^2, so at the optimum f is the
 score itself (dsm) or the correction to the base score (mad).
 
-Everything is plain numpy: forward caches per-layer pre-activations, backward
-walks them in reverse, Adam is the standard bias-corrected update.  The final
-layer initializes to zero so a fresh mad model starts exactly at the base
-score.
+Everything is plain numpy.  Bias adds and activations run in place on each
+layer's matmul output, and every layer is checked for non-finite values.  For
+backward, the forward pass keeps each layer's input and, for silu only, each
+hidden layer's pre-activation and sigmoid; relu masks its gradient with the
+sign of the kept layer input.  Adam is the standard bias-corrected update,
+applied in place to the parameter and moment arrays.  The final layer
+initializes to zero so a fresh mad model starts exactly at the base score.
 
 Checkpoints are a small versioned binary container: magic, version, a JSON
 header (config, layer shapes, caller extras), the raw little-endian float64
@@ -135,38 +138,58 @@ def _embed_sigma(config: MlpConfig, sigma: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _act(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    sg = 1.0 / (1.0 + np.exp(-z))
-    return z * sg
+def _check_finite(z: np.ndarray, layer: int) -> None:
+    """Raise unless every entry of z is finite.
 
-
-def _act_grad(kind: str, z: np.ndarray) -> np.ndarray:
-    if kind == "relu":
-        return (z > 0.0).astype(np.float64)
-    sg = 1.0 / (1.0 + np.exp(-z))
-    return sg * (1.0 + z * (1.0 - sg))
+    Any nan or inf makes the sum non-finite, so a finite sum clears the layer
+    in one pass without a boolean temporary; a sum that overflows on finite
+    entries falls through to the exact elementwise test.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = z.sum()
+    if not np.isfinite(total) and not np.all(np.isfinite(z)):
+        raise TrainingDivergedError(f"non-finite activations at layer {layer}")
 
 
 def _plain_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray, keep: bool):
-    """Run the raw MLP on pre-assembled input h; optionally keep caches."""
-    pre = []
+    """Run the raw MLP on pre-assembled input h; optionally keep caches.
+
+    Bias add and activation run in place on each layer's matmul output.  With
+    keep, also returns post (the input of every layer) and, for silu, the
+    (pre-activation, sigmoid) pair of every hidden layer.  relu needs nothing
+    beyond post: post[i + 1] > 0 exactly where hidden layer i's pre-activation
+    is positive.
+    """
     post = [h] if keep else None
-    n_layers = len(params.weights)
-    for i in range(n_layers):
-        z = h @ params.weights[i] + params.biases[i]
-        if not np.all(np.isfinite(z)):
-            raise TrainingDivergedError(f"non-finite activations at layer {i}")
-        if i < n_layers - 1:
-            if keep:
-                pre.append(z)
-            h = _act(config.activation, z)
-            if keep:
-                post.append(h)
+    silu_cache = [] if keep else None
+    silu = config.activation == "silu"
+    sg = None
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w
+        z += b
+        _check_finite(z, i)
+        if i == last:
+            break
+        if not silu:
+            np.maximum(z, 0.0, out=z)
         else:
-            h = z
-    return (h, pre, post) if keep else h
+            if keep or sg is None:
+                sg = np.empty_like(z)
+            # sg = 1/(1 + exp(-z)), built in one buffer
+            np.negative(z, out=sg)
+            np.exp(sg, out=sg)
+            sg += 1.0
+            np.divide(1.0, sg, out=sg)
+            if keep:
+                silu_cache.append((z, sg))
+                z = z * sg
+            else:
+                z *= sg
+        h = z
+        if keep:
+            post.append(h)
+    return (z, post, silu_cache) if keep else z
 
 
 def _assemble(config: MlpConfig, x: np.ndarray, emb: np.ndarray) -> np.ndarray:
@@ -181,19 +204,33 @@ def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     emb = _embed_sigma(config, sigma, x.shape[0])
     out = _plain_forward(params, config, _assemble(config, x, emb), keep=False)
     if config.antisymmetrize:
-        out_neg = _plain_forward(params, config, _assemble(config, -x, emb), keep=False)
-        out = 0.5 * (out - out_neg)
+        out -= _plain_forward(params, config, _assemble(config, -x, emb), keep=False)
+        out *= 0.5
     return out
 
 
-def _backprop_branch(params, config, pre, post, upstream, grads: NetworkGrads):
+def _backprop_branch(params, config, post, silu_cache, upstream, grads: NetworkGrads):
     """Accumulate parameter grads for one cached forward pass."""
     g = upstream
+    scratch = None
     for i in reversed(range(len(params.weights))):
         grads.weights[i] += post[i].T @ g
         grads.biases[i] += g.sum(axis=0)
-        if i > 0:
-            g = (g @ params.weights[i].T) * _act_grad(config.activation, pre[i - 1])
+        if i == 0:
+            break
+        g = g @ params.weights[i].T
+        if config.activation == "relu":
+            g *= post[i] > 0.0
+        else:
+            # silu'(z) = sg * (1 + z * (1 - sg)), built in one buffer
+            z, sg = silu_cache[i - 1]
+            if scratch is None:
+                scratch = np.empty_like(z)
+            np.subtract(1.0, sg, out=scratch)
+            scratch *= z
+            scratch += 1.0
+            scratch *= sg
+            g *= scratch
 
 
 def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma):
@@ -206,16 +243,15 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     emb = _embed_sigma(config, sigma, n)
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))[:, None]
 
-    out_pos, pre_pos, post_pos = _plain_forward(
+    out, post_pos, cache_pos = _plain_forward(
         params, config, _assemble(config, x, emb), keep=True
     )
     if config.antisymmetrize:
-        out_neg, pre_neg, post_neg = _plain_forward(
+        out_neg, post_neg, cache_neg = _plain_forward(
             params, config, _assemble(config, -x, emb), keep=True
         )
-        out = 0.5 * (out_pos - out_neg)
-    else:
-        out = out_pos
+        out -= out_neg
+        out *= 0.5
 
     resid = sig * out - t
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
@@ -226,10 +262,10 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
         biases=[np.zeros_like(b) for b in params.biases],
     )
     if config.antisymmetrize:
-        _backprop_branch(params, config, pre_pos, post_pos, 0.5 * d_out, grads)
-        _backprop_branch(params, config, pre_neg, post_neg, -0.5 * d_out, grads)
+        _backprop_branch(params, config, post_pos, cache_pos, 0.5 * d_out, grads)
+        _backprop_branch(params, config, post_neg, cache_neg, -0.5 * d_out, grads)
     else:
-        _backprop_branch(params, config, pre_pos, post_pos, d_out, grads)
+        _backprop_branch(params, config, post_pos, cache_pos, d_out, grads)
     return loss, grads
 
 
@@ -241,32 +277,38 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> NetworkParams:
-    """Standard bias-corrected Adam; returns a new parameter object."""
+    """Standard bias-corrected Adam, applied in place.
+
+    Weights, biases and both moments are overwritten in the arrays `params`
+    already owns; the same object is returned with its step advanced.
+    """
     t = params.step + 1
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-
-    def upd(p, g, m, v):
-        m2 = beta1 * m + (1.0 - beta1) * g
-        v2 = beta2 * v + (1.0 - beta2) * g * g
-        p2 = p - lr * (m2 / c1) / (np.sqrt(v2 / c2) + eps)
-        return p2, m2, v2
-
-    new_w, new_mw, new_vw = [], [], []
-    for p, g, m, v in zip(params.weights, grads.weights, params.m_w, params.v_w):
-        p2, m2, v2 = upd(p, g, m, v)
-        new_w.append(p2)
-        new_mw.append(m2)
-        new_vw.append(v2)
-    new_b, new_mb, new_vb = [], [], []
-    for p, g, m, v in zip(params.biases, grads.biases, params.m_b, params.v_b):
-        p2, m2, v2 = upd(p, g, m, v)
-        new_b.append(p2)
-        new_mb.append(m2)
-        new_vb.append(v2)
-    return NetworkParams(
-        weights=new_w, biases=new_b, m_w=new_mw, v_w=new_vw, m_b=new_mb, v_b=new_vb, step=t
+    groups = (
+        (params.weights, grads.weights, params.m_w, params.v_w),
+        (params.biases, grads.biases, params.m_b, params.v_b),
     )
+    for ps, gs, ms, vs in groups:
+        for p, g, m, v in zip(ps, gs, ms, vs):
+            # same rounding as p - lr * (m/c1) / (sqrt(v/c2) + eps) with
+            # m = beta1 m + (1-beta1) g and v = beta2 v + ((1-beta2) g) g
+            step = np.multiply(g, 1.0 - beta1)
+            m *= beta1
+            m += step
+            denom = np.multiply(g, 1.0 - beta2)
+            denom *= g
+            v *= beta2
+            v += denom
+            np.divide(v, c2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            np.divide(m, c1, out=step)
+            step *= lr
+            step /= denom
+            p -= step
+    params.step = t
+    return params
 
 
 def train(

@@ -197,6 +197,41 @@ def test_tiny_sigma_stays_finite_and_restoring():
     assert np.all(radial[radii[:, 0] > 1.0] < 0)
 
 
+def ref_softmax_weights(x, sigma, points, log_probs=None):
+    """The allocating posterior weights the in-place version replaced."""
+    diff = x[..., None, :] - points
+    expo = -np.sum(diff * diff, axis=-1) / (2.0 * sigma[..., None] ** 2)
+    if log_probs is not None:
+        expo = expo + log_probs
+    expo -= np.max(expo, axis=-1, keepdims=True)
+    w = np.exp(expo)
+    return w / np.sum(w, axis=-1, keepdims=True)
+
+
+def ref_discrete_score(x, sigma, points, log_probs=None):
+    w = ref_softmax_weights(x, np.broadcast_to(sigma, x.shape[:-1]), points, log_probs)
+    return (w @ points - x) / np.asarray(sigma)[..., None] ** 2
+
+
+@pytest.mark.parametrize(
+    "rows,per_row_sigma",
+    [(None, False), (1, False), (1, True), (7, False), (7, True), (512, False), (512, True)],
+)
+def test_discrete_scores_match_reference_bitwise(rows, per_row_sigma):
+    rng = np.random.default_rng(50)
+    x = rng.standard_normal(2 if rows is None else (rows, 2))
+    sig = np.exp(rng.uniform(-7.0, 1.0, rows)) if per_row_sigma else 0.05
+    cases = [
+        (base_score_discrete(x, sig, OCTAGON), ref_discrete_score(x, sig, OCTAGON)),
+        (exact_score_discrete(x, sig, OCTAGON, SKEWED),
+         ref_discrete_score(x, sig, OCTAGON, np.log(SKEWED))),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_batch_and_scalar_shapes():
     xb = np.array([[0.9, 0.1], [0.0, 1.1], [-0.5, -0.5]])
     sb = base_score_discrete(xb, 0.5, OCTAGON)

@@ -143,6 +143,13 @@ def test_train_divergence_exits_two(tmp_path, capsys):
     assert "runtime abort" in capsys.readouterr().err
 
 
+def test_train_zero_steps_reports_no_loss(tmp_path, capsys):
+    cfg = write_config(tmp_path, training={"steps": 0})
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == "trained 0 steps\n"
+    assert (tmp_path / "run" / "loss.csv").read_text() == "step,loss\n"
+
+
 # ---------------------------------------------------------------- sample ----
 
 
@@ -182,6 +189,19 @@ def test_sample_project_snaps_to_support(tmp_path):
     pts = np.array([[float(v) for v in r.split(",")] for r in rows])
     d2 = np.sum((pts[:, None, :] - circle_points(8)[None, :, :]) ** 2, axis=2)
     assert np.min(d2, axis=1).max() == 0.0
+
+
+def test_sample_project_logs_unprojected_drift(tmp_path):
+    ckpt = trained_run(tmp_path)
+    values = []
+    for name, flags in (("plain", []), ("projected", ["--project"])):
+        out = tmp_path / name
+        main(["sample", "--checkpoint", str(ckpt), "--n", "32", "--seed", "5",
+              *flags, "--out", str(out)])
+        line = (out / "metrics.log").read_text().splitlines()[0]
+        values.append(line.split("value=")[1].split()[0])
+    assert values[0] == values[1]
+    assert float(values[0]) > 1e-6
 
 
 def test_sample_num_scales_override_recorded(tmp_path):

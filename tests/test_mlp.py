@@ -1,8 +1,10 @@
 """Network module: forward/backward exactness, Adam, training, checkpoints."""
 
+import copy
 import hashlib
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from manifold_dsm.errors import CheckpointFormatError, TrainingDivergedError
 from manifold_dsm.geometry import DiscreteSet, RotationGroup, Sphere
 from manifold_dsm.mlp import (
     MlpConfig,
+    _embed_sigma,
     NetworkGrads,
     NetworkParams,
     adam_step,
@@ -177,6 +180,220 @@ def test_forward_nonfinite_aborts_with_layer_index():
     with pytest.raises(TrainingDivergedError, match="layer 1"):
         with np.errstate(over="ignore"):
             forward(params, cfg, np.full((1, 2), 10.0), 1.0)
+
+
+def test_forward_nonfinite_hidden_layer_aborts_with_finite_output():
+    # layer 1 overflows to -inf, relu maps it to 0, and the zero final layer
+    # gives a finite output: only a per-layer check can name the bad layer
+    cfg = tiny_config(activation="relu")
+    params = init_params(cfg, np.random.default_rng(9))
+    params.weights[0][:] = 1.0
+    params.biases[0][:] = 1.0
+    params.weights[1][:] = -1e308
+    x = np.ones((1, 2))
+    with np.errstate(over="ignore"):
+        h = np.array([[1.0, 1.0, 0.0]])  # x and log(sigma = 1)
+        z1 = np.maximum(h @ params.weights[0] + params.biases[0], 0.0) @ params.weights[1]
+        assert np.all(z1 == -np.inf)
+        out = np.maximum(z1, 0.0) @ params.weights[2] + params.biases[2]
+        assert np.all(np.isfinite(out))
+        with pytest.raises(TrainingDivergedError, match="layer 1"):
+            forward(params, cfg, x, 1.0)
+        with pytest.raises(TrainingDivergedError, match="layer 1"):
+            backward(params, cfg, x, np.zeros((1, 2)), 1.0)
+
+
+def test_finite_layer_with_overflowing_sum_passes_silently():
+    cfg = tiny_config(activation="relu")
+    params = init_params(cfg, np.random.default_rng(9))
+    params.weights[0][:] = 0.0
+    params.biases[0][:] = 1e308  # each entry finite, their sum is not
+    params.weights[1][:] = 0.0
+    x = np.ones((4, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = forward(params, cfg, x, 1.0)
+        loss, _ = backward(params, cfg, x, np.zeros((4, 2)), 1.0)
+    assert np.all(out == 0.0)
+    assert loss == 0.0
+
+
+# ------------------------------------------------ reference implementation ----
+# The allocating forward, backward and Adam that the in-place hot path
+# replaced.  The module must reproduce them bit for bit.
+
+
+def ref_act(kind, z):
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    sg = 1.0 / (1.0 + np.exp(-z))
+    return z * sg
+
+
+def ref_act_grad(kind, z):
+    if kind == "relu":
+        return (z > 0.0).astype(np.float64)
+    sg = 1.0 / (1.0 + np.exp(-z))
+    return sg * (1.0 + z * (1.0 - sg))
+
+
+def ref_plain_forward(params, config, h, keep):
+    pre = []
+    post = [h] if keep else None
+    n_layers = len(params.weights)
+    for i in range(n_layers):
+        z = h @ params.weights[i] + params.biases[i]
+        if not np.all(np.isfinite(z)):
+            raise TrainingDivergedError(f"non-finite activations at layer {i}")
+        if i < n_layers - 1:
+            if keep:
+                pre.append(z)
+            h = ref_act(config.activation, z)
+            if keep:
+                post.append(h)
+        else:
+            h = z
+    return (h, pre, post) if keep else h
+
+
+def ref_forward(params, config, x, sigma):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    emb = _embed_sigma(config, sigma, x.shape[0])
+    out = ref_plain_forward(params, config, np.concatenate([x, emb], axis=1), keep=False)
+    if config.antisymmetrize:
+        out_neg = ref_plain_forward(params, config, np.concatenate([-x, emb], axis=1), keep=False)
+        out = 0.5 * (out - out_neg)
+    return out
+
+
+def ref_backprop_branch(params, config, pre, post, upstream, grads):
+    g = upstream
+    for i in reversed(range(len(params.weights))):
+        grads.weights[i] += post[i].T @ g
+        grads.biases[i] += g.sum(axis=0)
+        if i > 0:
+            g = (g @ params.weights[i].T) * ref_act_grad(config.activation, pre[i - 1])
+
+
+def ref_backward(params, config, x, residual_target, sigma):
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    t = np.atleast_2d(np.asarray(residual_target, dtype=np.float64))
+    n = x.shape[0]
+    emb = _embed_sigma(config, sigma, n)
+    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))[:, None]
+    out_pos, pre_pos, post_pos = ref_plain_forward(
+        params, config, np.concatenate([x, emb], axis=1), keep=True
+    )
+    if config.antisymmetrize:
+        out_neg, pre_neg, post_neg = ref_plain_forward(
+            params, config, np.concatenate([-x, emb], axis=1), keep=True
+        )
+        out = 0.5 * (out_pos - out_neg)
+    else:
+        out = out_pos
+    resid = sig * out - t
+    loss = float(np.mean(np.sum(resid * resid, axis=1)))
+    d_out = 2.0 * sig * resid / n
+    grads = NetworkGrads(
+        weights=[np.zeros_like(w) for w in params.weights],
+        biases=[np.zeros_like(b) for b in params.biases],
+    )
+    if config.antisymmetrize:
+        ref_backprop_branch(params, config, pre_pos, post_pos, 0.5 * d_out, grads)
+        ref_backprop_branch(params, config, pre_neg, post_neg, -0.5 * d_out, grads)
+    else:
+        ref_backprop_branch(params, config, pre_pos, post_pos, d_out, grads)
+    return loss, grads
+
+
+def ref_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    t = params.step + 1
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
+
+    def upd(p, g, m, v):
+        m2 = beta1 * m + (1.0 - beta1) * g
+        v2 = beta2 * v + (1.0 - beta2) * g * g
+        p2 = p - lr * (m2 / c1) / (np.sqrt(v2 / c2) + eps)
+        return p2, m2, v2
+
+    new_w, new_mw, new_vw = [], [], []
+    for p, g, m, v in zip(params.weights, grads.weights, params.m_w, params.v_w):
+        p2, m2, v2 = upd(p, g, m, v)
+        new_w.append(p2)
+        new_mw.append(m2)
+        new_vw.append(v2)
+    new_b, new_mb, new_vb = [], [], []
+    for p, g, m, v in zip(params.biases, grads.biases, params.m_b, params.v_b):
+        p2, m2, v2 = upd(p, g, m, v)
+        new_b.append(p2)
+        new_mb.append(m2)
+        new_vb.append(v2)
+    return NetworkParams(
+        weights=new_w, biases=new_b, m_w=new_mw, v_w=new_vw, m_b=new_mb, v_b=new_vb, step=t
+    )
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
+
+
+def state_arrays(params):
+    return params.weights + params.biases + params.m_w + params.v_w + params.m_b + params.v_b
+
+
+NET_VARIANTS = pytest.mark.parametrize(
+    "activation,antisym,embedding,fdim",
+    [
+        (act, anti, emb, fdim)
+        for act in ("relu", "silu")
+        for anti in (False, True)
+        for emb, fdim in (("log_sigma_concat", 0), ("fourier", 4))
+    ],
+)
+
+
+@NET_VARIANTS
+@pytest.mark.parametrize("rows", [1, 7, 512])
+def test_forward_and_backward_match_reference_bitwise(activation, antisym, embedding, fdim, rows):
+    cfg = tiny_config(hidden_dim=16, activation=activation, antisymmetrize=antisym,
+                      sigma_embedding=embedding, fourier_dim=fdim)
+    params = randomized_params(cfg, 40)
+    rng = np.random.default_rng(41)
+    x = rng.standard_normal((rows, 2))
+    sig = np.exp(rng.uniform(-6.0, 1.0, rows))
+    target = rng.standard_normal((rows, 2))
+
+    assert_same_bits(forward(params, cfg, x, sig), ref_forward(params, cfg, x, sig))
+    loss, grads = backward(params, cfg, x, target, sig)
+    ref_loss, ref_grads = ref_backward(params, cfg, x, target, sig)
+    assert_same_bits(loss, ref_loss)
+    for a, b in zip(grads.weights + grads.biases, ref_grads.weights + ref_grads.biases):
+        assert_same_bits(a, b)
+
+
+@NET_VARIANTS
+def test_chained_adam_steps_match_reference_bitwise(activation, antisym, embedding, fdim):
+    cfg = tiny_config(hidden_dim=16, activation=activation, antisymmetrize=antisym,
+                      sigma_embedding=embedding, fourier_dim=fdim)
+    params = randomized_params(cfg, 42)
+    ref = copy.deepcopy(params)
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        x = rng.standard_normal((64, 2))
+        sig = np.exp(rng.uniform(-6.0, 1.0, 64))
+        target = rng.standard_normal((64, 2))
+        _, grads = backward(params, cfg, x, target, sig)
+        _, ref_grads = ref_backward(ref, cfg, x, target, sig)
+        stepped = adam_step(params, grads, lr=1e-2)
+        assert stepped is params
+        ref = ref_adam_step(ref, ref_grads, lr=1e-2)
+    assert params.step == ref.step == 5
+    for a, b in zip(state_arrays(params), state_arrays(ref)):
+        assert_same_bits(a, b)
 
 
 def loss_of(params, cfg, x, target, sig):
