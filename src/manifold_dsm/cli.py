@@ -1,14 +1,21 @@
 """Command line front end for experiment runs.
 
 Subcommands: make-data, train, sample, eval, oracle-check.  A JSON run config
-(flat nested key-value, all numerics decimal) drives make-data and train;
-sample and eval are self-sufficient given a checkpoint or sample files, since
-checkpoints embed the manifold, schedule, and loss kind in their header.
+drives make-data and train; sample and eval are self-sufficient given a
+checkpoint or sample files, since checkpoints embed the manifold, schedule,
+and loss kind in their header.
 
-Every command that writes artifacts also writes `<command>.config.json`, the
-fully resolved configuration (defaults expanded), into the output directory;
-rerunning a command from that record yields byte-identical primary outputs.
-The metrics log is append-only and shared across runs.
+Each config section is one frozen dataclass: `dataset` is `DatasetSpec`,
+`model` is `MlpConfig` (its `input_dim` is the manifold's), and `manifold`,
+`schedule` and `training` are declared here.  `from_dict` parses a section;
+an unknown key, a value of the wrong JSON type or a value the class rejects
+exits 1 with `error: <section>: ...`.
+
+Every command that writes artifacts also writes `<command>.config.json` into
+the output directory: the fields of the config objects the run used, defaults
+expanded, as the checkpoint header also records them.  Rerunning a command
+from that record yields byte-identical primary outputs.  The metrics log is
+append-only and shared across runs.
 
 Exit codes: 0 success, 1 validation/input error, 2 runtime abort,
 3 oracle-check failure.
@@ -19,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +41,7 @@ from .errors import (
     UnreliableEstimateError,
 )
 from .geometry import DiscreteSet, RotationGroup, Sphere, build_symmetry_group, project
-from .metrics import MetricReport, append_metric, discrete_tv, format_line, manifold_drift, mmd, spread
+from .metrics import append_metric, discrete_tv, format_line, manifold_drift, mmd, spread
 from .mlp import MlpConfig, forward, load_checkpoint, save_checkpoint, train
 
 __all__ = ["main"]
@@ -45,130 +53,122 @@ __all__ = ["main"]
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
-def _section(cfg: dict, name: str) -> dict:
-    if name not in cfg or not isinstance(cfg[name], dict):
-        raise ConfigError(f"config is missing the {name!r} section")
-    return cfg[name]
+# the size key each manifold kind reads
+_MANIFOLD_KEYS = {"discrete_circle": ("n_coords",), "sphere": ("n",), "rotation_group": ()}
 
 
-def _dataset_spec(cfg: dict) -> tuple[DatasetSpec, int, dict]:
-    """Returns (spec, dataset seed, resolved dict)."""
-    sec = dict(_section(cfg, "dataset"))
-    seed = int(sec.pop("seed", 0))
-    if "components" in sec:
-        sec["components"] = tuple(
-            (tuple(float(v) for v in c[0]), float(c[1]), float(c[2])) for c in sec["components"]
-        )
+@dataclass(frozen=True)
+class ManifoldConfig:
+    """The manifold a run lives on; its record keeps only its kind's size key."""
+
+    kind: str
+    n_coords: int = 8
+    n: int = 2
+
+    def __post_init__(self):
+        if self.kind not in _MANIFOLD_KEYS:
+            raise ValueError(f"unknown kind {self.kind!r}")
+
+    def build(self):
+        if self.kind == "discrete_circle":
+            return DiscreteSet(circle_points(self.n_coords))
+        if self.kind == "sphere":
+            return Sphere(self.n)
+        return RotationGroup()
+
+    def record(self) -> dict:
+        keep = ("kind", *_MANIFOLD_KEYS[self.kind])
+        return {k: v for k, v in asdict(self).items() if k in keep}
+
+
+@dataclass(frozen=True)
+class ScheduleConfig:
+    sigma_min: float = 1e-4
+    sigma_max: float = 2.0
+    num_scales: int = 100
+
+    def build(self) -> NoiseSchedule:
+        return NoiseSchedule.geometric(self.sigma_min, self.sigma_max, self.num_scales)
+
+
+@dataclass(frozen=True)
+class TrainingConfig:
+    loss_kind: str = "mad"
+    steps: int = 2000
+    batch_size: int = 512
+    lr: float = 1e-3
+    seed: int = 0
+    n_data: int = 16384
+
+    def __post_init__(self):
+        if self.loss_kind not in ("dsm", "mad"):
+            raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
+        if self.steps < 0 or self.batch_size < 1 or self.lr <= 0 or self.n_data < 1:
+            raise ValueError("steps >= 0, batch_size >= 1, lr > 0, n_data >= 1 required")
+
+
+# JSON types a field of each annotated type accepts
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "tuple": list}
+
+
+def _checked(section: str, make, *args, **kwargs):
+    """make(*args, **kwargs), reporting a ValueError or TypeError as a ConfigError
+    of the section."""
     try:
-        spec = DatasetSpec(**sec)
+        return make(*args, **kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
-    resolved = {
-        "kind": spec.kind,
-        "n_coords": spec.n_coords,
-        "decay": spec.decay,
-        "manifold_n": spec.manifold_n,
-        "components": [[list(c[0]), c[1], c[2]] for c in spec.components],
-        "path": spec.path,
-        "seed": seed,
-    }
-    return spec, seed, resolved
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
-def _manifold_from_dict(sec: dict):
-    kind = sec.get("kind")
-    try:
-        if kind == "discrete_circle":
-            return DiscreteSet(circle_points(int(sec.get("n_coords", 8))))
-        if kind == "sphere":
-            return Sphere(int(sec.get("n", 2)))
-        if kind == "rotation_group":
-            return RotationGroup()
-    except ValueError as exc:
-        raise ConfigError(f"manifold: {exc}") from exc
-    raise ConfigError(f"manifold: unknown kind {kind!r}")
+def from_dict(cls, cfg: dict, section: str, **overrides):
+    """Build the config dataclass `cls` from the JSON object cfg[section].
+
+    Every key must name a field of `cls` and hold a value of the field's JSON
+    type; an int is accepted, and stored as a float, for a float field.
+    `overrides` set fields whatever the section says.  Failures, including
+    the class's own validation, raise ConfigError("<section>: ...").
+    """
+    data = cfg.get(section)
+    if not isinstance(data, dict):
+        raise ConfigError(f"config is missing the {section!r} section")
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in types:
+            raise ConfigError(f"{section}: unknown key {key!r}")
+        want = _JSON_TYPES[types[key]]
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise ConfigError(f"{section}: {key} must be {types[key]}, got {value!r}")
+        kwargs[key] = float(value) if types[key] == "float" else value
+    return _checked(section, cls, **{**kwargs, **overrides})
 
 
-def _manifold_to_dict(sec: dict) -> dict:
-    kind = sec.get("kind")
-    if kind == "discrete_circle":
-        return {"kind": kind, "n_coords": int(sec.get("n_coords", 8))}
-    if kind == "sphere":
-        return {"kind": kind, "n": int(sec.get("n", 2))}
-    return {"kind": "rotation_group"}
+def _manifold(cfg: dict):
+    """The manifold config of a run config or checkpoint record, and the manifold it builds."""
+    config = from_dict(ManifoldConfig, cfg, "manifold")
+    return config, _checked("manifold", config.build)
 
 
-def _schedule(cfg: dict) -> tuple[NoiseSchedule, dict]:
-    sec = _section(cfg, "schedule")
-    try:
-        sched = NoiseSchedule.geometric(
-            float(sec.get("sigma_min", 1e-4)),
-            float(sec.get("sigma_max", 2.0)),
-            int(sec.get("num_scales", 100)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"schedule: {exc}") from exc
-    resolved = {
-        "sigma_min": sched.sigma_min,
-        "sigma_max": sched.sigma_max,
-        "num_scales": sched.num_scales,
-    }
-    return sched, resolved
-
-
-def _model(cfg: dict, input_dim: int) -> tuple[MlpConfig, dict]:
-    sec = dict(_section(cfg, "model"))
-    sec.pop("input_dim", None)  # derived from the manifold
-    try:
-        model = MlpConfig(input_dim=input_dim, **sec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    resolved = {
-        "input_dim": model.input_dim,
-        "hidden_dim": model.hidden_dim,
-        "num_hidden_layers": model.num_hidden_layers,
-        "activation": model.activation,
-        "sigma_embedding": model.sigma_embedding,
-        "fourier_dim": model.fourier_dim,
-        "antisymmetrize": model.antisymmetrize,
-    }
-    return model, resolved
-
-
-def _training(cfg: dict) -> dict:
-    sec = _section(cfg, "training")
-    out = {
-        "loss_kind": str(sec.get("loss_kind", "mad")),
-        "steps": int(sec.get("steps", 2000)),
-        "batch_size": int(sec.get("batch_size", 512)),
-        "lr": float(sec.get("lr", 1e-3)),
-        "seed": int(sec.get("seed", 0)),
-        "n_data": int(sec.get("n_data", 16384)),
-    }
-    if out["loss_kind"] not in ("dsm", "mad"):
-        raise ConfigError(f"training: unknown loss_kind {out['loss_kind']!r}")
-    if out["steps"] < 0 or out["batch_size"] < 1 or out["lr"] <= 0 or out["n_data"] < 1:
-        raise ConfigError("training: steps >= 0, batch_size >= 1, lr > 0, n_data >= 1 required")
-    return out
-
-
-def _check_dims(dataset_samples: np.ndarray, spec: DatasetSpec, manifold_sec: dict, manifold):
+def _check_dims(dataset_samples: np.ndarray, spec: DatasetSpec, manifold_cfg, manifold):
     if dataset_samples.shape[1] != manifold.ambient_dim:
         raise ConfigError(
             f"dataset ambient dimension {dataset_samples.shape[1]} does not match "
             f"the declared manifold ({manifold.ambient_dim})"
         )
     if spec.kind.startswith("discrete"):
-        if manifold_sec.get("kind") != "discrete_circle":
+        if manifold_cfg.kind != "discrete_circle":
             raise ConfigError("discrete datasets need a discrete_circle manifold")
-        if int(manifold_sec.get("n_coords", 8)) != spec.n_coords:
+        if manifold_cfg.n_coords != spec.n_coords:
             raise ConfigError("manifold n_coords does not match the dataset")
 
 
@@ -225,67 +225,51 @@ def _write_loss_csv(path: Path, curve: np.ndarray) -> None:
 
 def cmd_make_data(args) -> int:
     cfg = _load_json(args.config)
-    spec, cfg_seed, resolved = _dataset_spec(cfg)
-    seed = cfg_seed if args.seed is None else args.seed
-    resolved["seed"] = seed
+    seed = {} if args.seed is None else {"seed": args.seed}
+    spec = from_dict(DatasetSpec, cfg, "dataset", **seed)
     out = _ensure_out(args.out, cfg)
-    try:
-        samples, _, _ = build_dataset(spec, args.n, seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    samples, _, _ = _checked("dataset", build_dataset, spec, args.n, spec.seed)
     _write_samples_csv(out / "data.csv", samples)
-    _write_json(out / "make-data.config.json", {"dataset": resolved, "n": args.n})
+    _write_json(out / "make-data.config.json", {"dataset": asdict(spec), "n": args.n})
     print(f"wrote {samples.shape[0]} samples to {out / 'data.csv'}")
     return 0
 
 
 def cmd_train(args) -> int:
     cfg = _load_json(args.config)
-    spec, data_seed, data_resolved = _dataset_spec(cfg)
-    manifold_sec = _section(cfg, "manifold")
-    manifold = _manifold_from_dict(manifold_sec)
-    schedule, sched_resolved = _schedule(cfg)
-    training = _training(cfg)
-    if args.seed is not None:
-        training["seed"] = args.seed
+    spec = from_dict(DatasetSpec, cfg, "dataset")
+    manifold_cfg, manifold = _manifold(cfg)
+    schedule_cfg = from_dict(ScheduleConfig, cfg, "schedule")
+    schedule = _checked("schedule", schedule_cfg.build)
+    seed = {} if args.seed is None else {"seed": args.seed}
+    training = from_dict(TrainingConfig, cfg, "training", **seed)
 
-    try:
-        dataset, _, _ = build_dataset(spec, training["n_data"], data_seed)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    _check_dims(dataset, spec, manifold_sec, manifold)
-    model, model_resolved = _model(cfg, dataset.shape[1])
+    dataset, _, _ = _checked("dataset", build_dataset, spec, training.n_data, spec.seed)
+    _check_dims(dataset, spec, manifold_cfg, manifold)
+    # the network input dimension is the manifold's, whatever the section says
+    model = from_dict(MlpConfig, cfg, "model", input_dim=manifold.ambient_dim)
 
     out = _ensure_out(args.out, cfg)
-    resolved = {
-        "dataset": data_resolved,
-        "manifold": _manifold_to_dict(manifold_sec),
-        "schedule": sched_resolved,
-        "model": model_resolved,
-        "training": training,
-        "out_dir": str(out),
-    }
     params, curve = train(
         model,
-        training["loss_kind"],
+        training.loss_kind,
         dataset,
         manifold,
         schedule,
-        steps=training["steps"],
-        batch_size=training["batch_size"],
-        lr=training["lr"],
-        seed=training["seed"],
+        steps=training.steps,
+        batch_size=training.batch_size,
+        lr=training.lr,
+        seed=training.seed,
     )
-    extras = {
-        "loss_kind": training["loss_kind"],
-        "manifold": resolved["manifold"],
-        "schedule": sched_resolved,
-        "dataset": data_resolved,
-    }
+    record = {"dataset": asdict(spec), "manifold": manifold_cfg.record(),
+              "schedule": asdict(schedule_cfg), "model": asdict(model),
+              "training": asdict(training)}
+    extras = {"loss_kind": training.loss_kind,
+              **{name: record[name] for name in ("manifold", "schedule", "dataset")}}
     save_checkpoint(out / "checkpoint.bin", params, model, extras)
     _write_loss_csv(out / "loss.csv", curve)
-    _write_json(out / "train.config.json", resolved)
-    message = f"trained {training['steps']} steps"
+    _write_json(out / "train.config.json", {**record, "out_dir": str(out)})
+    message = f"trained {training.steps} steps"
     if curve.size:
         message += f"; final-100 mean loss {float(curve[-100:].mean())}"
     print(message)
@@ -299,50 +283,43 @@ def _score_field(params, model, loss_kind, manifold):
 
 
 def cmd_sample(args) -> int:
+    if args.n < 0:
+        raise ConfigError("--n must be nonnegative")
     params, model, extras = load_checkpoint(args.checkpoint)
     for key in ("loss_kind", "manifold", "schedule"):
         if key not in extras:
             raise ConfigError(f"checkpoint lacks the {key!r} record; cannot sample from it")
-    manifold = _manifold_from_dict(extras["manifold"])
+    manifold_cfg, manifold = _manifold(extras)
     if manifold.ambient_dim != model.input_dim:
         raise ConfigError("checkpoint manifold does not match the network input dimension")
-    schedule, sched_resolved = _schedule({"schedule": extras["schedule"]})
-    if args.num_scales is not None:
-        # finer generation grids reduce integrator bias without retraining
-        schedule = NoiseSchedule.geometric(
-            schedule.sigma_min, schedule.sigma_max, args.num_scales
-        )
-        sched_resolved["num_scales"] = args.num_scales
+    # finer generation grids reduce integrator bias without retraining
+    scales = {} if args.num_scales is None else {"num_scales": args.num_scales}
+    schedule_cfg = from_dict(ScheduleConfig, extras, "schedule", **scales)
+    schedule = _checked("schedule", schedule_cfg.build)
 
     seed = 0 if args.seed is None else args.seed
     field = _score_field(params, model, extras["loss_kind"], manifold)
-    samples = reverse_sample(
-        field, schedule, args.n, manifold, np.random.default_rng(seed)
-    ).samples
-    drift = manifold_drift(samples) if args.n > 0 else None
-    if args.project:
-        samples = project(samples, manifold)
+    samples = reverse_sample(field, schedule, args.n, manifold, np.random.default_rng(seed))
     out = _ensure_out(args.out, None)
-    _write_samples_csv(out / "samples.csv", samples)
-    if drift is not None:
-        report = MetricReport(
-            name="manifold_drift",
-            value=drift.value,
-            std_error=drift.std_error,
-            config={**drift.config, "seed": seed, "projected": args.project,
-                    "stage": "pre_projection"},
-        )
+    if args.n > 0:
+        # measured before --project snaps the samples onto the support
+        report = manifold_drift(samples, manifold)
+        report = replace(report, config={**report.config, "seed": seed,
+                                         "projected": args.project, "stage": "pre_projection"})
         append_metric(out / "metrics.log", report)
         print(format_line(report))
+    if args.project:
+        samples = project(samples, manifold)
+    _write_samples_csv(out / "samples.csv", samples)
     _write_json(
         out / "sample.config.json",
         {
             "checkpoint": str(args.checkpoint),
             "loss_kind": extras["loss_kind"],
-            "manifold": extras["manifold"],
+            "manifold": manifold_cfg.record(),
             "n": args.n,
             "project": args.project,
-            "schedule": sched_resolved,
+            "schedule": asdict(schedule_cfg),
             "seed": seed,
         },
     )

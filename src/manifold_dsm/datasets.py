@@ -41,7 +41,11 @@ _KINDS = ("discrete_uniform", "discrete_skewed", "vmf_mixture", "latlon_file")
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """What to generate; interpreted by build_dataset and the command line."""
+    """What to generate; interpreted by build_dataset and the command line.
+
+    `seed` is the draw seed a run config records with the spec; build_dataset
+    takes the seed to draw with as its own argument.
+    """
 
     kind: str
     n_coords: int = 8
@@ -50,8 +54,13 @@ class DatasetSpec:
     # ((mean, ...), kappa, weight) triples; means need not be normalized
     components: tuple = ()
     path: str = ""
+    seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "components", tuple(
+            (tuple(float(v) for v in mean), float(kappa), float(weight))
+            for mean, kappa, weight in self.components
+        ))
         if self.kind not in _KINDS:
             raise ValueError(f"unknown dataset kind {self.kind!r}; expected one of {_KINDS}")
         if self.kind.startswith("discrete"):

@@ -14,8 +14,10 @@ sigma s_base holds arithmetically, not just in exact math.
 Sampling integrates the reverse SDE with predictor-only Euler-Maruyama over a
 descending geometric sigma grid, stepping x by (sigma_i^2 - sigma_{i+1}^2)
 score(x, sigma_i) plus matched noise; g^2 dt telescopes to sigma^2
-differences so no time variable appears anywhere.  Drift statistics (how far
-samples land from the manifold) are recorded before any terminal projection.
+differences so no time variable appears anywhere.  The sampler returns the
+raw final state: measuring how far it lands from the manifold
+(`metrics.manifold_drift`) and snapping it onto the support
+(`geometry.project`) are left to the caller.
 """
 
 from __future__ import annotations
@@ -27,13 +29,11 @@ import numpy as np
 
 from .basescore import base_score
 from .errors import TrainingDivergedError
-from .geometry import DiscreteSet, Manifold, project
+from .geometry import Manifold
 
 __all__ = [
     "NoiseSchedule",
     "TrainTarget",
-    "DriftStats",
-    "SampleBatch",
     "perturb",
     "dsm_target",
     "mad_target",
@@ -69,6 +69,8 @@ class NoiseSchedule:
 
     @classmethod
     def geometric(cls, sigma_min: float, sigma_max: float, num_scales: int) -> "NoiseSchedule":
+        if num_scales < 2:  # before geomspace: an empty grid has no endpoints to fix
+            raise ValueError("need at least 2 noise scales")
         sigmas = np.geomspace(sigma_max, sigma_min, num_scales)
         # geomspace endpoints can miss the exact inputs by an ulp
         sigmas[0] = sigma_max
@@ -84,21 +86,6 @@ class TrainTarget:
     xt: np.ndarray
     sigma: np.ndarray
     residual_target: np.ndarray
-
-
-@dataclass(frozen=True)
-class DriftStats:
-    """Pre-projection distance-to-manifold summary of a sample batch."""
-
-    mean: float
-    max: float
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    samples: np.ndarray
-    drift: DriftStats
-    projected: bool
 
 
 def perturb(x0, sigma, rng: np.random.Generator) -> np.ndarray:
@@ -136,24 +123,13 @@ def mad_target(x0, xt, sigma, manifold: Manifold) -> TrainTarget:
     return TrainTarget(x0=x0, xt=xt, sigma=sigma, residual_target=res)
 
 
-def _drift(x: np.ndarray, manifold: Manifold) -> DriftStats:
-    if x.shape[0] == 0:
-        return DriftStats(mean=float("nan"), max=float("nan"))
-    if isinstance(manifold, DiscreteSet):
-        d = np.min(np.linalg.norm(x[:, None, :] - manifold.points, axis=-1), axis=1)
-    else:
-        d = np.abs(1.0 - np.linalg.norm(x, axis=1))
-    return DriftStats(mean=float(np.mean(d)), max=float(np.max(d)))
-
-
 def reverse_sample(
     score_field: Callable[[np.ndarray, float], np.ndarray],
     schedule: NoiseSchedule,
     n: int,
     manifold: Manifold,
     rng: np.random.Generator,
-    project_final: bool = False,
-) -> SampleBatch:
+) -> np.ndarray:
     """Integrate the reverse SDE from sigma_max down to sigma_min.
 
     Starts at x ~ Normal(0, sigma_max^2 I) and applies, for each consecutive
@@ -164,7 +140,7 @@ def reverse_sample(
 
     Noise is drawn as one (n, dim) block per step in sample order; any future
     batch-parallel split must keep that layout for results to be unchanged.
-    Drift statistics are recorded before the optional terminal projection.
+    Returns the (n, dim) final state.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -190,7 +166,4 @@ def reverse_sample(
                 f"non-finite state after the final step at sigma={s[-1]:g}",
                 sigma=float(s[-1]),
             )
-    drift = _drift(x, manifold)
-    if project_final:
-        x = project(x, manifold)
-    return SampleBatch(samples=x, drift=drift, projected=bool(project_final))
+    return x

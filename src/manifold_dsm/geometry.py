@@ -35,7 +35,6 @@ __all__ = [
     "lift",
     "project",
     "build_symmetry_group",
-    "ambient_dim",
 ]
 
 _IDENTITY = np.array([1.0, 0.0, 0.0, 0.0])
@@ -60,6 +59,12 @@ class DiscreteSet:
     def ambient_dim(self) -> int:
         return self.points.shape[1]
 
+    def nearest(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index of the nearest point (ties: lowest index) and the distance to
+        it, for each row of x."""
+        d = np.linalg.norm(x[..., None, :] - self.points, axis=-1)
+        return np.argmin(d, axis=-1), np.min(d, axis=-1)
+
 
 @dataclass(frozen=True)
 class Sphere:
@@ -78,9 +83,7 @@ class Sphere:
 
 @dataclass(frozen=True, eq=False)
 class RotationGroup:
-    """SO(3) in unit-quaternion coordinates, optionally modulo a finite symmetry."""
-
-    symmetry: "SymmetryGroup | None" = None
+    """SO(3) in unit-quaternion coordinates."""
 
     @property
     def ambient_dim(self) -> int:
@@ -88,10 +91,6 @@ class RotationGroup:
 
 
 Manifold = DiscreteSet | Sphere | RotationGroup
-
-
-def ambient_dim(manifold: Manifold) -> int:
-    return manifold.ambient_dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,9 +199,7 @@ def project(x: np.ndarray, manifold: Manifold) -> np.ndarray:
             f"point dimension {x.shape[-1]} does not match ambient {manifold.ambient_dim}"
         )
     if isinstance(manifold, DiscreteSet):
-        d2 = np.sum((x[..., None, :] - manifold.points) ** 2, axis=-1)
-        nearest = np.argmin(d2, axis=-1)  # ties: lowest index
-        return manifold.points[nearest]
+        return manifold.points[manifold.nearest(x)[0]]
     norms = np.linalg.norm(x, axis=-1, keepdims=True)
     if np.any(norms < 1e-12):
         raise DegenerateInputError("cannot project a zero vector onto a sphere")

@@ -79,9 +79,7 @@ def append_metric(path, report: MetricReport) -> None:
 
 
 def _rows(batch) -> np.ndarray:
-    arr = getattr(batch, "samples", batch)
-    arr = np.asarray(arr, dtype=np.float64)
-    return np.atleast_2d(arr)
+    return np.atleast_2d(np.asarray(batch, dtype=np.float64))
 
 
 def _median_distance(pooled: np.ndarray) -> float:
@@ -164,12 +162,19 @@ def spread(samples, q_gt, group: SymmetryGroup) -> MetricReport:
     )
 
 
-def manifold_drift(batch) -> MetricReport:
-    """Mean |1 - ||x||| over rows; the max lands in the config."""
+def manifold_drift(batch, manifold=None) -> MetricReport:
+    """Mean distance of the rows to the manifold; the max lands in the config.
+
+    On a DiscreteSet the distance is to the nearest support point; on the
+    other manifolds, or with none given, it is |1 - ||x|||.
+    """
     x = _rows(batch)
     if x.shape[0] == 0:
         raise ValueError("manifold_drift needs at least one sample")
-    d = np.abs(1.0 - np.linalg.norm(x, axis=1))
+    if isinstance(manifold, DiscreteSet):
+        d = manifold.nearest(x)[1]
+    else:
+        d = np.abs(1.0 - np.linalg.norm(x, axis=1))
     se = float(np.std(d, ddof=1) / np.sqrt(len(d))) if len(d) > 1 else None
     return MetricReport(
         name="manifold_drift",
@@ -190,9 +195,7 @@ def discrete_tv(batch, manifold: DiscreteSet, target_probs) -> MetricReport:
     if x.shape[0] > 0:
         if x.shape[1] != pts.shape[1]:
             raise ValueError("batch dimension does not match the support")
-        d2 = np.sum(x * x, axis=1)[:, None] - 2.0 * (x @ pts.T) + np.sum(pts * pts, axis=1)
-        idx = np.argmin(d2, axis=1)
-        emp = np.bincount(idx, minlength=pts.shape[0]) / x.shape[0]
+        emp = np.bincount(manifold.nearest(x)[0], minlength=pts.shape[0]) / x.shape[0]
     else:
         emp = np.zeros(pts.shape[0])
     return MetricReport(

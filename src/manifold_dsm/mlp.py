@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -90,13 +90,21 @@ class MlpConfig:
 
 @dataclass
 class NetworkParams:
+    """Layer weights and biases with their Adam moments; moments not given start at zero."""
+
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    m_w: list[np.ndarray] | None = None
+    v_w: list[np.ndarray] | None = None
+    m_b: list[np.ndarray] | None = None
+    v_b: list[np.ndarray] | None = None
     step: int = 0
+
+    def __post_init__(self):
+        for name, like in (("m_w", self.weights), ("v_w", self.weights),
+                           ("m_b", self.biases), ("v_b", self.biases)):
+            if getattr(self, name) is None:
+                setattr(self, name, [np.zeros_like(a) for a in like])
 
 
 @dataclass
@@ -117,11 +125,7 @@ def init_params(config: MlpConfig, rng: np.random.Generator) -> NetworkParams:
             bound = 1.0 / np.sqrt(fan_in)
             ws.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
             bs.append(rng.uniform(-bound, bound, fan_out))
-    zeros = lambda: [np.zeros_like(a) for a in ws]
-    zeros_b = lambda: [np.zeros_like(a) for a in bs]
-    return NetworkParams(
-        weights=ws, biases=bs, m_w=zeros(), v_w=zeros(), m_b=zeros_b(), v_b=zeros_b()
-    )
+    return NetworkParams(weights=ws, biases=bs)
 
 
 def _embed_sigma(config: MlpConfig, sigma: np.ndarray, n: int) -> np.ndarray:
@@ -280,7 +284,8 @@ def adam_step(
     """Standard bias-corrected Adam, applied in place.
 
     Weights, biases and both moments are overwritten in the arrays `params`
-    already owns; the same object is returned with its step advanced.
+    already owns; the same object is returned with its step advanced.  Moment
+    and gradient lists must match the parameter lists in length.
     """
     t = params.step + 1
     c1 = 1.0 - beta1**t
@@ -290,7 +295,7 @@ def adam_step(
         (params.biases, grads.biases, params.m_b, params.v_b),
     )
     for ps, gs, ms, vs in groups:
-        for p, g, m, v in zip(ps, gs, ms, vs):
+        for p, g, m, v in zip(ps, gs, ms, vs, strict=True):
             # same rounding as p - lr * (m/c1) / (sqrt(v/c2) + eps) with
             # m = beta1 m + (1-beta1) g and v = beta2 v + ((1-beta2) g) g
             step = np.multiply(g, 1.0 - beta1)
@@ -356,22 +361,10 @@ def train(
     return params, curve
 
 
-def _config_to_json(config: MlpConfig) -> dict:
-    return {
-        "input_dim": config.input_dim,
-        "hidden_dim": config.hidden_dim,
-        "num_hidden_layers": config.num_hidden_layers,
-        "activation": config.activation,
-        "sigma_embedding": config.sigma_embedding,
-        "fourier_dim": config.fourier_dim,
-        "antisymmetrize": config.antisymmetrize,
-    }
-
-
 def save_checkpoint(path, params: NetworkParams, config: MlpConfig, extras: dict | None = None):
     """Write magic | version | header_len | JSON header | layer data | sha256."""
     header = {
-        "config": _config_to_json(config),
+        "config": asdict(config),
         "layer_shapes": [list(s) for s in config.layer_shapes()],
         "extras": extras or {},
     }
@@ -427,12 +420,4 @@ def load_checkpoint(path):
         off += fan_out * 8
     if off != len(blob) - 32:
         raise CheckpointFormatError("trailing bytes after layer data")
-    params = NetworkParams(
-        weights=ws,
-        biases=bs,
-        m_w=[np.zeros_like(w) for w in ws],
-        v_w=[np.zeros_like(w) for w in ws],
-        m_b=[np.zeros_like(b) for b in bs],
-        v_b=[np.zeros_like(b) for b in bs],
-    )
-    return params, config, header.get("extras", {})
+    return NetworkParams(weights=ws, biases=bs), config, header.get("extras", {})

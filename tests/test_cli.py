@@ -7,6 +7,7 @@ file formats, exit codes, and byte-level reproducibility.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -128,6 +129,133 @@ def test_train_outputs_and_rerun_identical(tmp_path):
     assert resolved["training"]["loss_kind"] == "mad"
 
 
+README_RUN = {
+    "dataset": {"kind": "discrete_skewed", "n_coords": 8, "decay": 0.8, "seed": 7},
+    "manifold": {"kind": "discrete_circle", "n_coords": 8},
+    "schedule": {"sigma_min": 1e-4, "sigma_max": 4.0, "num_scales": 100},
+    "model": {"hidden_dim": 128, "num_hidden_layers": 3, "activation": "relu"},
+    "training": {"loss_kind": "mad", "steps": 2, "batch_size": 512,
+                 "lr": 2e-3, "seed": 2, "n_data": 16384},
+}
+README_RESOLVED = {
+    "dataset": {"components": [], "decay": 0.8, "kind": "discrete_skewed", "manifold_n": 2,
+                "n_coords": 8, "path": "", "seed": 7},
+    "manifold": {"kind": "discrete_circle", "n_coords": 8},
+    "model": {"activation": "relu", "antisymmetrize": False, "fourier_dim": 0,
+              "hidden_dim": 128, "input_dim": 2, "num_hidden_layers": 3,
+              "sigma_embedding": "log_sigma_concat"},
+    "schedule": {"num_scales": 100, "sigma_max": 4.0, "sigma_min": 0.0001},
+    "training": {"batch_size": 512, "loss_kind": "mad", "lr": 0.002, "n_data": 16384,
+                 "seed": 2, "steps": 2},
+}
+S3_RUN = {
+    "dataset": {"kind": "vmf_mixture", "manifold_n": 3, "seed": 201,
+                "components": [[[1.0, 0.0, 0.0, 0.0], 40.0, 0.5], [[0.0, 1.0, 0.0, 0.0], 40.0, 0.5]]},
+    "manifold": {"kind": "rotation_group"},
+    "schedule": {"sigma_min": 1e-4, "sigma_max": 2.0, "num_scales": 100},
+    "model": {"hidden_dim": 16, "num_hidden_layers": 2, "activation": "silu",
+              "antisymmetrize": True},
+    "training": {"loss_kind": "dsm", "steps": 2, "batch_size": 32, "lr": 2e-3, "seed": 1,
+                 "n_data": 64},
+}
+S3_RESOLVED = {
+    "dataset": {"components": [[[1.0, 0.0, 0.0, 0.0], 40.0, 0.5], [[0.0, 1.0, 0.0, 0.0], 40.0, 0.5]],
+                "decay": 0.8, "kind": "vmf_mixture", "manifold_n": 3, "n_coords": 8, "path": "",
+                "seed": 201},
+    "manifold": {"kind": "rotation_group"},
+    "model": {"activation": "silu", "antisymmetrize": True, "fourier_dim": 0, "hidden_dim": 16,
+              "input_dim": 4, "num_hidden_layers": 2, "sigma_embedding": "log_sigma_concat"},
+    "schedule": {"num_scales": 100, "sigma_max": 2.0, "sigma_min": 0.0001},
+    "training": {"batch_size": 32, "loss_kind": "dsm", "lr": 0.002, "n_data": 64, "seed": 1,
+                 "steps": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "run, resolved, layer_shapes",
+    [
+        (README_RUN, README_RESOLVED, [[3, 128], [128, 128], [128, 128], [128, 2]]),
+        (S3_RUN, S3_RESOLVED, [[5, 16], [16, 16], [16, 4]]),
+    ],
+    ids=["readme_ring", "antisymmetric_s3"],
+)
+def test_train_records_are_byte_stable(tmp_path, run, resolved, layer_shapes):
+    # the exact text of the run record and of the checkpoint header, as the
+    # earliest versions of the program wrote them; reruns from old records
+    # depend on both staying put
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(path), "--out", str(out)]) == 0
+    record = {**resolved, "out_dir": str(out)}
+    text = (out / "train.config.json").read_text()
+    assert text == json.dumps(record, sort_keys=True, indent=2) + "\n"
+    blob = (out / "checkpoint.bin").read_bytes()
+    assert blob[:8] == b"SCORENET"
+    version, hdr_len = struct.unpack_from("<II", blob, 8)
+    assert version == 1
+    extras = {key: resolved[key] for key in ("dataset", "manifold", "schedule")}
+    header = {
+        "config": resolved["model"],
+        "extras": {**extras, "loss_kind": resolved["training"]["loss_kind"]},
+        "layer_shapes": layer_shapes,
+    }
+    assert blob[16 : 16 + hdr_len].decode("utf-8") == json.dumps(header, sort_keys=True)
+
+
+def test_train_reruns_from_its_own_record(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["train", "--config", str(cfg)]) == 0
+    first = tmp_path / "run"
+    assert main(["train", "--config", str(first / "train.config.json"),
+                 "--out", str(tmp_path / "again")]) == 0
+    for name in ("checkpoint.bin", "loss.csv"):
+        assert (tmp_path / "again" / name).read_bytes() == (first / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [
+        ("dataset", {"seeds": 1}, "dataset: unknown key 'seeds'"),
+        ("manifold", {"size": 8}, "manifold: unknown key 'size'"),
+        ("schedule", {"num_scale": 10}, "schedule: unknown key 'num_scale'"),
+        ("model", {"hidden": 8}, "model: unknown key 'hidden'"),
+        ("training", {"step": 10}, "training: unknown key 'step'"),
+        ("training", {"lr": "abc"}, "training: lr must be float, got 'abc'"),
+        ("model", {"hidden_dim": 16.5}, "model: hidden_dim must be int, got 16.5"),
+        ("training", {"steps": 2.7}, "training: steps must be int, got 2.7"),
+        ("training", {"steps": True}, "training: steps must be int, got True"),
+        ("model", {"antisymmetrize": 1}, "model: antisymmetrize must be bool, got 1"),
+        ("dataset", {"decay": None}, "dataset: decay must be float, got None"),
+        ("schedule", {"num_scales": 1}, "schedule: need at least 2 noise scales"),
+        ("manifold", {"kind": "torus"}, "manifold: unknown kind 'torus'"),
+        ("training", {"loss_kind": "l1"}, "training: unknown loss_kind 'l1'"),
+    ],
+)
+def test_train_rejects_bad_config_values(tmp_path, capsys, section, value, message):
+    cfg = write_config(tmp_path, **{section: value})
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+
+
+def test_make_data_rejects_unknown_dataset_key(tmp_path, capsys):
+    cfg = write_config(tmp_path, dataset={"n_coord": 8})
+    rc = main(["make-data", "--config", str(cfg), "--n", "5", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: dataset: unknown key 'n_coord'\n"
+
+
+def test_config_int_for_float_is_recorded_as_float(tmp_path):
+    cfg = write_config(tmp_path, dataset={"decay": 1}, schedule={"sigma_max": 4},
+                       training={"steps": 2, "lr": 1})
+    assert main(["train", "--config", str(cfg)]) == 0
+    record = json.loads((tmp_path / "run" / "train.config.json").read_text())
+    values = (record["dataset"]["decay"], record["schedule"]["sigma_max"], record["training"]["lr"])
+    assert values == (1.0, 4.0, 1.0)
+    assert all(type(v) is float for v in values)
+
+
 def test_train_dimension_mismatch_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, manifold={"kind": "sphere", "n": 2})
     rc = main(["train", "--config", str(cfg)])
@@ -202,6 +330,33 @@ def test_sample_project_logs_unprojected_drift(tmp_path):
         values.append(line.split("value=")[1].split()[0])
     assert values[0] == values[1]
     assert float(values[0]) > 1e-6
+
+
+def test_sample_drift_is_distance_to_support(tmp_path):
+    ckpt = trained_run(tmp_path)
+    out = tmp_path / "s"
+    main(["sample", "--checkpoint", str(ckpt), "--n", "32", "--seed", "5", "--out", str(out)])
+    rows = (out / "samples.csv").read_text().splitlines()[1:]
+    pts = np.array([[float(v) for v in r.split(",")] for r in rows])
+    dmin = np.linalg.norm(pts[:, None, :] - circle_points(8)[None], axis=2).min(axis=1)
+    line = (out / "metrics.log").read_text()
+    assert float(line.split("value=")[1].split()[0]) == pytest.approx(dmin.mean(), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "-1"], "--n must be nonnegative"),
+        (["--n", "4", "--num-scales", "1"], "schedule: need at least 2 noise scales"),
+        (["--n", "4", "--num-scales", "0"], "schedule: need at least 2 noise scales"),
+    ],
+)
+def test_sample_rejects_bad_sizes(tmp_path, capsys, flags, message):
+    ckpt = trained_run(tmp_path)
+    capsys.readouterr()
+    rc = main(["sample", "--checkpoint", str(ckpt), *flags, "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sample_num_scales_override_recorded(tmp_path):

@@ -10,9 +10,7 @@ from manifold_dsm.basescore import (
     exact_score_discrete,
 )
 from manifold_dsm.diffusion import (
-    DriftStats,
     NoiseSchedule,
-    SampleBatch,
     TrainTarget,
     dsm_target,
     mad_target,
@@ -20,7 +18,8 @@ from manifold_dsm.diffusion import (
     reverse_sample,
 )
 from manifold_dsm.errors import TrainingDivergedError
-from manifold_dsm.geometry import DiscreteSet, Sphere
+from manifold_dsm.geometry import DiscreteSet, Sphere, project
+from manifold_dsm.metrics import manifold_drift
 
 TWO_POINTS = np.array([[1.0, 0.0], [-1.0, 0.0]])
 
@@ -168,17 +167,13 @@ def test_correction_target_smaller_than_score_target_near_support():
 
 def test_reverse_sample_base_score_only_covers_the_sphere():
     sch = NoiseSchedule.geometric(1e-4, 2.0, 100)
-    batch = reverse_sample(
+    x = reverse_sample(
         lambda x, s: base_score_s2(x, s), sch, 4096, Sphere(2), np.random.default_rng(42)
     )
-    assert isinstance(batch, SampleBatch)
-    assert batch.samples.shape == (4096, 3)
-    assert not batch.projected
-    assert batch.drift.mean < 0.01
+    assert x.shape == (4096, 3)
+    assert manifold_drift(x, Sphere(2)).value < 0.01
     # octant occupancy: all eight within 3 sigma of 1/8
-    octant = (
-        (batch.samples[:, 0] > 0) * 4 + (batch.samples[:, 1] > 0) * 2 + (batch.samples[:, 2] > 0)
-    )
+    octant = (x[:, 0] > 0) * 4 + (x[:, 1] > 0) * 2 + (x[:, 2] > 0)
     p = np.bincount(octant.astype(int), minlength=8) / 4096
     se = np.sqrt((1 / 8) * (7 / 8) / 4096)
     assert np.max(np.abs(p - 1 / 8)) < 3 * se
@@ -187,12 +182,12 @@ def test_reverse_sample_base_score_only_covers_the_sphere():
 def test_reverse_sample_concentrates_on_discrete_support():
     sch = NoiseSchedule.geometric(1e-4, 2.0, 100)
     ds = DiscreteSet(TWO_POINTS)
-    batch = reverse_sample(
+    x = reverse_sample(
         lambda x, s: base_score_discrete(x, s, ds), sch, 2000, ds, np.random.default_rng(1)
     )
-    dmin = np.min(np.linalg.norm(batch.samples[:, None, :] - TWO_POINTS, axis=-1), axis=1)
+    dmin = np.min(np.linalg.norm(x[:, None, :] - TWO_POINTS, axis=-1), axis=1)
     assert np.mean(dmin < 0.05) >= 0.99
-    assert batch.drift.mean == pytest.approx(np.mean(dmin))
+    assert manifold_drift(x, ds).value == pytest.approx(np.mean(dmin))
 
 
 def test_reverse_sample_is_deterministic():
@@ -200,32 +195,23 @@ def test_reverse_sample_is_deterministic():
     mk = lambda: reverse_sample(
         lambda x, s: base_score_s2(x, s), sch, 64, Sphere(2), np.random.default_rng(9)
     )
-    a, b = mk(), mk()
-    assert np.array_equal(a.samples, b.samples)
-    assert a.drift == b.drift
+    assert np.array_equal(mk(), mk())
 
 
 def test_reverse_sample_empty_batch():
     sch = NoiseSchedule.geometric(1e-3, 2.0, 10)
-    batch = reverse_sample(lambda x, s: x, sch, 0, Sphere(2), np.random.default_rng(0))
-    assert batch.samples.shape == (0, 3)
-    assert np.isnan(batch.drift.mean)
+    x = reverse_sample(lambda x, s: x, sch, 0, Sphere(2), np.random.default_rng(0))
+    assert x.shape == (0, 3)
 
 
 def test_reverse_sample_projection_lands_on_manifold():
     sch = NoiseSchedule.geometric(1e-3, 2.0, 50)
-    batch = reverse_sample(
-        lambda x, s: base_score_s2(x, s),
-        sch,
-        128,
-        Sphere(2),
-        np.random.default_rng(3),
-        project_final=True,
+    x = reverse_sample(
+        lambda x, s: base_score_s2(x, s), sch, 128, Sphere(2), np.random.default_rng(3)
     )
-    assert batch.projected
-    assert np.max(np.abs(np.linalg.norm(batch.samples, axis=1) - 1.0)) < 1e-12
-    # drift statistics reflect the pre-projection state
-    assert batch.drift.max > 0.0
+    # the raw final state is off the sphere; projecting it lands on it
+    assert manifold_drift(x, Sphere(2)).config["max"] > 0.0
+    assert np.max(np.abs(np.linalg.norm(project(x, Sphere(2)), axis=1) - 1.0)) < 1e-12
 
 
 def test_reverse_sample_aborts_on_non_finite_score():

@@ -172,3 +172,15 @@ def test_project():
     p = project(x, sphere)
     np.testing.assert_allclose(project(p, sphere), p, atol=1e-15)
     np.testing.assert_allclose(np.linalg.norm(p, axis=1), 1.0, atol=1e-12)
+
+
+def test_discrete_set_nearest():
+    points = DiscreteSet(np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 2.0]]))
+    x = np.array([[0.2, 0.5], [0.0, 0.0], [0.0, 2.0], [3.0, 4.0]])
+    idx, dist = points.nearest(x)
+    # (0, 0) ties points 0 and 1: lowest index wins
+    np.testing.assert_array_equal(idx, [1, 0, 2, 2])
+    np.testing.assert_allclose(dist, [np.hypot(0.8, 0.5), 1.0, 0.0, np.hypot(3.0, 2.0)])
+    assert dist[2] == 0.0
+    one_idx, one_dist = points.nearest(x[0])
+    assert one_idx == 1 and one_dist == dist[0]

@@ -152,6 +152,20 @@ def test_manifold_drift_values():
     assert rep.std_error is None
 
 
+def test_manifold_drift_on_discrete_set_is_distance_to_nearest_point():
+    ring = DiscreteSet(circle_points(8))
+    x = np.array([[1.0, 0.0], [0.0, 1.1], [np.sqrt(0.5), np.sqrt(0.5)]])
+    x[2] *= 0.9
+    rep = manifold_drift(x, ring)
+    d = [0.0, 0.1, 0.1]
+    assert rep.value == pytest.approx(np.mean(d), abs=1e-15)
+    assert rep.config["max"] == pytest.approx(0.1, abs=1e-15)
+    # the radial measure cannot see a point on the circle between support points
+    between = np.array([[np.cos(np.pi / 8), np.sin(np.pi / 8)]])
+    assert manifold_drift(between).value < 1e-15
+    assert manifold_drift(between, ring).value == pytest.approx(2.0 * np.sin(np.pi / 16))
+
+
 def test_manifold_drift_orthogonal_invariance():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((200, 3)) * 1.3

@@ -469,6 +469,28 @@ def test_adam_first_step_closed_form():
     assert out.biases[0][0] == 0.25
 
 
+def test_adam_updates_params_built_without_moments():
+    grads = NetworkGrads(weights=[np.array([[0.3]])], biases=[np.array([-0.2])])
+    bare = NetworkParams(weights=[np.array([[0.5]])], biases=[np.array([0.25])])
+    out = adam_step(bare, grads, lr=0.01)
+    ref = adam_step(one_param_state(0.5), grads, lr=0.01)
+    assert out.step == 1
+    assert out.weights[0][0, 0] != 0.5
+    for a, b in zip(state_arrays(out), state_arrays(ref), strict=True):
+        assert np.array_equal(a, b)
+
+
+def test_adam_rejects_mismatched_lists():
+    grads = NetworkGrads(weights=[np.array([[0.3]])], biases=[np.zeros(1)])
+    params = one_param_state(0.5)
+    params.m_w = []
+    with pytest.raises(ValueError):
+        adam_step(params, grads, lr=0.01)
+    two_layers = NetworkGrads(weights=grads.weights * 2, biases=grads.biases * 2)
+    with pytest.raises(ValueError):
+        adam_step(one_param_state(0.5), two_layers, lr=0.01)
+
+
 def test_adam_converges_on_least_squares_toy():
     # min over W of ||W x - b||^2 via manually supplied gradients
     x = np.array([1.0, 0.5])
