@@ -34,7 +34,7 @@ import numpy as np
 
 from .bessel import bessel_i_scaled, bessel_ratio_i0_i1
 from .errors import DegenerateInputError, UnreliableEstimateError
-from .geometry import DiscreteSet, Manifold, RotationGroup, Sphere
+from .geometry import DiscreteSet, Manifold, Sphere
 
 __all__ = [
     "posterior_mean_discrete",
@@ -77,6 +77,14 @@ def _sphere_radius(x: np.ndarray) -> np.ndarray:
             f"sphere score undefined near the origin (||x|| < {_MIN_SPHERE_NORM:g})"
         )
     return r
+
+
+def _sphere_args(x, sigma, dim: int):
+    """Checked query x with r = ||x||, sig2 = sigma^2 per row and z = r/sig2."""
+    x, sigma = _check_xy_sigma(x, sigma, dim)
+    r = _sphere_radius(x)
+    sig2 = np.broadcast_to(sigma, r.shape) ** 2
+    return x, r, sig2, r / sig2
 
 
 def _softmax_weights(x, sigma, points, log_probs=None) -> np.ndarray:
@@ -146,10 +154,7 @@ def base_score_nsphere(x, sigma, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("n-sphere score needs n >= 1")
-    x, sigma = _check_xy_sigma(x, sigma, n + 1)
-    r = _sphere_radius(x)
-    sig2 = np.broadcast_to(sigma, r.shape) ** 2
-    z = r / sig2
+    x, r, sig2, z = _sphere_args(x, sigma, n + 1)
     lo = (n - 3) / 2.0
     if lo < -0.5:
         # only n = 1 lands here; integer-order symmetry I_{-1} = I_1
@@ -169,10 +174,7 @@ def base_score_s2(x, sigma) -> np.ndarray:
     coth saturates to 1 beyond z = 40 (1 - tanh(40) is below double precision
     relative resolution), which keeps the expression overflow-free for any z.
     """
-    x, sigma = _check_xy_sigma(x, sigma, 3)
-    r = _sphere_radius(x)
-    sig2 = np.broadcast_to(sigma, r.shape) ** 2
-    z = r / sig2
+    x, r, sig2, z = _sphere_args(x, sigma, 3)
     coth = np.where(z > 40.0, 1.0, 1.0 / np.tanh(np.minimum(z, 40.0)))
     radial = -1.0 / sig2 - 1.0 / r**2 + coth / (sig2 * r)
     return x * radial[..., None]
@@ -180,10 +182,7 @@ def base_score_s2(x, sigma) -> np.ndarray:
 
 def base_score_s3(x, sigma) -> np.ndarray:
     """S^3 (unit quaternion) base score via the I_0/I_1 Bessel ratio."""
-    x, sigma = _check_xy_sigma(x, sigma, 4)
-    r = _sphere_radius(x)
-    sig2 = np.broadcast_to(sigma, r.shape) ** 2
-    z = r / sig2
+    x, r, sig2, z = _sphere_args(x, sigma, 4)
     ratio = bessel_ratio_i0_i1(z)
     radial = -1.0 / sig2 - 1.0 / r**2 + (ratio - sig2 / r) / (sig2 * r)
     return x * radial[..., None]
@@ -193,8 +192,6 @@ def base_score(x, sigma, manifold: Manifold) -> np.ndarray:
     """Base score dispatch over the supported manifold kinds."""
     if isinstance(manifold, DiscreteSet):
         return base_score_discrete(x, sigma, manifold)
-    if isinstance(manifold, RotationGroup):
-        return base_score_s3(x, sigma)
     if isinstance(manifold, Sphere):
         if manifold.n == 2:
             return base_score_s2(x, sigma)
@@ -239,7 +236,7 @@ def mc_score_oracle(
     dim = manifold.ambient_dim
     x, sig = _check_xy_sigma(x, sigma, dim)
     sigma = float(sig)
-    if isinstance(manifold, (Sphere, RotationGroup)):
+    if isinstance(manifold, Sphere):
         _sphere_radius(x)
     discrete = isinstance(manifold, DiscreteSet)
 

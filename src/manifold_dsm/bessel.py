@@ -64,27 +64,15 @@ def _as_order(nu) -> float:
     return BesselOrder(float(nu)).nu
 
 
-def _i0e_series(x: np.ndarray) -> np.ndarray:
-    # sum_k (x^2/4)^k / (k!)^2, then scale by e^{-x}; all terms positive.
+def _series_ie(nu: float, x: np.ndarray) -> np.ndarray:
+    # (x/2)^nu sum_k (x^2/4)^k / (k! (k+nu)!) for nu = 0 or 1, then scale by
+    # e^{-x}; all terms positive.
     q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    k = 1
-    while np.any(term > _TAIL * total):
-        term = term * q / (k * k)
-        total = total + term
-        k += 1
-    return total * np.exp(-x)
-
-
-def _i1e_series(x: np.ndarray) -> np.ndarray:
-    # (x/2) sum_k (x^2/4)^k / (k! (k+1)!), scaled by e^{-x}.
-    q = 0.25 * x * x
-    term = 0.5 * x
+    term = 0.5 * x if nu else np.ones_like(x)
     total = term.copy()
     k = 1
     while np.any(term > _TAIL * total):
-        term = term * q / (k * (k + 1))
+        term = term * q / (k * (k + nu))
         total = total + term
         k += 1
     return total * np.exp(-x)
@@ -144,21 +132,13 @@ def _imhalf_e(x: np.ndarray) -> np.ndarray:
 
 def _ie_positive(nu: float, x: np.ndarray) -> np.ndarray:
     """Scaled e^{-x} I_nu(x) for strictly positive x."""
-    if nu == 0.0:
+    if nu in (0.0, 1.0):
         out = np.empty_like(x)
         lo = x < _CROSSOVER
         if lo.any():
-            out[lo] = _i0e_series(x[lo])
+            out[lo] = _series_ie(nu, x[lo])
         if (~lo).any():
-            out[~lo] = _asym_ie(0.0, x[~lo])
-        return out
-    if nu == 1.0:
-        out = np.empty_like(x)
-        lo = x < _CROSSOVER
-        if lo.any():
-            out[lo] = _i1e_series(x[lo])
-        if (~lo).any():
-            out[~lo] = _asym_ie(1.0, x[~lo])
+            out[~lo] = _asym_ie(nu, x[~lo])
         return out
     if nu == 0.5:
         return _ihalf_e(x)
@@ -184,14 +164,22 @@ def _ie_positive(nu: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _prepare(nu, x):
+def _scaled(nu, x):
+    """Checked order, x as an array, and e^{-x} I_nu(x) over it (I_nu(0) is 1 for
+    nu = 0 and 0 otherwise)."""
     order = _as_order(nu)
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr < 0.0):
         raise ValueError("Bessel argument must be nonnegative")
     if order < 0.0 and np.any(arr == 0.0):
         raise ValueError(f"Bessel argument 0 not allowed for order {order}")
-    return order, arr
+    out = np.empty_like(arr)
+    zero = arr == 0.0
+    if zero.any():
+        out[zero] = 1.0 if order == 0.0 else 0.0
+    if (~zero).any():
+        out[~zero] = _ie_positive(order, arr[~zero])
+    return order, arr, out
 
 
 def _match_shape(out: np.ndarray, x) -> np.ndarray | float:
@@ -205,14 +193,7 @@ def bessel_i_scaled(nu, x):
     for score formulas whose argument grows like 1/sigma^2.  `nu` may be a
     float or a BesselOrder; x may be a scalar or array (x > 0 when nu < 0).
     """
-    order, arr = _prepare(nu, x)
-    out = np.empty_like(arr)
-    zero = arr == 0.0
-    if zero.any():
-        out[zero] = 1.0 if order == 0.0 else 0.0
-    if (~zero).any():
-        out[~zero] = _ie_positive(order, arr[~zero])
-    return _match_shape(out, x)
+    return _match_shape(_scaled(nu, x)[2], x)
 
 
 def bessel_i(nu, x):
@@ -222,14 +203,7 @@ def bessel_i(nu, x):
     the unscaled value exceeds float range; callers hitting that should switch
     to bessel_i_scaled.
     """
-    order, arr = _prepare(nu, x)
-    scaled = np.empty_like(arr)
-    zero = arr == 0.0
-    if zero.any():
-        scaled[zero] = 1.0 if order == 0.0 else 0.0
-    if (~zero).any():
-        scaled[~zero] = _ie_positive(order, arr[~zero])
-
+    order, arr, scaled = _scaled(nu, x)
     out = np.empty_like(arr)
     small = arr <= 700.0
     out[small] = scaled[small] * np.exp(arr[small])

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .basescore import base_score, mc_score_oracle
-from .datasets import DatasetSpec, build_dataset, circle_points, skewed_pmf
+from .datasets import DatasetSpec, build_dataset, circle_points, discrete_target
 from .diffusion import NoiseSchedule, reverse_sample
 from .errors import (
     CheckpointFormatError,
@@ -40,7 +40,7 @@ from .errors import (
     TrainingDivergedError,
     UnreliableEstimateError,
 )
-from .geometry import DiscreteSet, RotationGroup, Sphere, build_symmetry_group, project
+from .geometry import DiscreteSet, Sphere, build_symmetry_group, project
 from .metrics import append_metric, discrete_tv, format_line, manifold_drift, mmd, spread
 from .mlp import MlpConfig, forward, load_checkpoint, save_checkpoint, train
 
@@ -82,9 +82,8 @@ class ManifoldConfig:
     def build(self):
         if self.kind == "discrete_circle":
             return DiscreteSet(circle_points(self.n_coords))
-        if self.kind == "sphere":
-            return Sphere(self.n)
-        return RotationGroup()
+        # rotations are unit quaternions, and their uniform measure is the 3-sphere's
+        return Sphere(self.n if self.kind == "sphere" else 3)
 
     def record(self) -> dict:
         keep = ("kind", *_MANIFOLD_KEYS[self.kind])
@@ -115,6 +114,8 @@ class TrainingConfig:
             raise ValueError(f"unknown loss_kind {self.loss_kind!r}")
         if self.steps < 0 or self.batch_size < 1 or self.lr <= 0 or self.n_data < 1:
             raise ValueError("steps >= 0, batch_size >= 1, lr > 0, n_data >= 1 required")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 # JSON types a field of each annotated type accepts
@@ -210,6 +211,8 @@ def _read_samples_csv(path) -> np.ndarray:
         raise ConfigError(f"{path}: {exc}") from exc
     if data.size == 0:
         return np.empty((0, width))
+    if data.shape[1] != width:
+        raise ConfigError(f"{path}: header names {width} columns, rows have {data.shape[1]}")
     return data
 
 
@@ -279,12 +282,16 @@ def cmd_train(args) -> int:
 def _score_field(params, model, loss_kind, manifold):
     if loss_kind == "mad":
         return lambda x, sig: base_score(x, sig, manifold) + forward(params, model, x, sig)
-    return lambda x, sig: forward(params, model, x, sig)
+    if loss_kind == "dsm":
+        return lambda x, sig: forward(params, model, x, sig)
+    raise ConfigError(f"checkpoint loss_kind {loss_kind!r} is neither 'dsm' nor 'mad'")
 
 
 def cmd_sample(args) -> int:
     if args.n < 0:
         raise ConfigError("--n must be nonnegative")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     params, model, extras = load_checkpoint(args.checkpoint)
     for key in ("loss_kind", "manifold", "schedule"):
         if key not in extras:
@@ -329,44 +336,28 @@ def cmd_sample(args) -> int:
 
 def cmd_eval(args) -> int:
     samples = _read_samples_csv(args.samples)
-    if args.metric == "mmd":
-        if not args.reference:
-            raise ConfigError("eval mmd needs --reference")
-        reference = _read_samples_csv(args.reference)
-        try:
-            report = mmd(samples, reference, bandwidth=args.bandwidth)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    elif args.metric == "drift":
-        try:
+    try:
+        if args.metric == "mmd":
+            if not args.reference:
+                raise ValueError("eval mmd needs --reference")
+            report = mmd(samples, _read_samples_csv(args.reference), bandwidth=args.bandwidth)
+        elif args.metric == "drift":
             report = manifold_drift(samples)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    elif args.metric == "tv":
-        if args.kind not in ("discrete_uniform", "discrete_skewed"):
-            raise ConfigError("eval tv needs --kind discrete_uniform or discrete_skewed")
-        try:
-            pts = circle_points(args.n_coords)
-            pmf = (
-                np.full(args.n_coords, 1.0 / args.n_coords)
-                if args.kind == "discrete_uniform"
-                else skewed_pmf(args.n_coords, args.decay)
-            )
-            report = discrete_tv(samples, DiscreteSet(pts), pmf)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    else:  # spread
-        if not args.group or args.q_gt is None:
-            raise ConfigError("eval spread needs --group and --q-gt")
-        try:
+        elif args.metric == "tv":
+            if args.kind not in ("discrete_uniform", "discrete_skewed"):
+                raise ValueError("eval tv needs --kind discrete_uniform or discrete_skewed")
+            ring, pmf = discrete_target(args.kind, args.n_coords, args.decay)
+            report = discrete_tv(samples, ring, pmf)
+        else:  # spread
+            if not args.group or args.q_gt is None:
+                raise ValueError("eval spread needs --group and --q-gt")
             group = build_symmetry_group(args.group, args.m)
             q_gt = np.array([float(v) for v in args.q_gt.split(",")])
             if q_gt.shape != (4,):
                 raise ValueError("--q-gt must be four comma-separated numbers")
-            q_gt = q_gt / np.linalg.norm(q_gt)
-            report = spread(samples, q_gt, group)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            report = spread(samples, q_gt / np.linalg.norm(q_gt), group)
+    except ValueError as exc:  # a ConfigError from reading --reference keeps its message
+        raise ConfigError(str(exc)) from exc
     out = _ensure_out(args.out, None)
     append_metric(out / "metrics.log", report)
     print(format_line(report))
@@ -374,26 +365,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    radii = [float(v) for v in args.radii.split(",")]
-    sigmas = [float(v) for v in args.sigmas.split(",")]
-    if any(r <= 0 for r in radii) or any(s <= 0 for s in sigmas):
-        raise ConfigError("radii and sigmas must be positive")
+    kind = "sphere" if args.manifold == "sphere" else "discrete_circle"
+    seed = 0 if args.seed is None else args.seed
     try:
-        if args.manifold == "sphere":
-            manifold = Sphere(args.n)
-        elif args.manifold == "discrete":
-            manifold = DiscreteSet(circle_points(args.n_coords))
-        else:
-            raise ValueError(f"unknown manifold {args.manifold!r}")
+        radii = [float(v) for v in args.radii.split(",")]
+        sigmas = [float(v) for v in args.sigmas.split(",")]
+        if not all(0.0 < v < np.inf for v in radii + sigmas):
+            raise ValueError("radii and sigmas must be positive and finite")
         if args.n_mc < 2:
             raise ValueError("--n-mc must be at least 2")
+        if seed < 0:
+            raise ValueError("--seed must be nonnegative")
+        manifold = ManifoldConfig(kind, n_coords=args.n_coords, n=args.n).build()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
     direction = np.zeros(manifold.ambient_dim)
     direction[0] = 1.0
 
-    seed = 0 if args.seed is None else args.seed
     print(f"{'r':>6} {'sigma':>6} {'rel_err':>10} {'max_dev/se':>11}  status")
     failed = 0
     for r in radii:

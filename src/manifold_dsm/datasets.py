@@ -18,16 +18,18 @@ reports the 1-based line number of anything malformed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DiscreteSet, Manifold, RotationGroup, Sphere
+from .geometry import DiscreteSet, Sphere
 
 __all__ = [
     "DatasetSpec",
     "circle_points",
     "skewed_pmf",
+    "discrete_target",
     "sample_discrete",
     "sample_vmf",
     "sample_vmf_mixture",
@@ -37,6 +39,13 @@ __all__ = [
 ]
 
 _KINDS = ("discrete_uniform", "discrete_skewed", "vmf_mixture", "latlon_file")
+
+
+def _number(value) -> float:
+    # float() would also take the JSON strings "20" and booleans
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"components entries must be numbers, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -58,7 +67,7 @@ class DatasetSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(
-            (tuple(float(v) for v in mean), float(kappa), float(weight))
+            (tuple(_number(v) for v in mean), _number(kappa), _number(weight))
             for mean, kappa, weight in self.components
         ))
         if self.kind not in _KINDS:
@@ -104,6 +113,16 @@ def skewed_pmf(n_coords: int, decay: float = 0.8) -> np.ndarray:
     d = np.minimum(off, n_coords - off)
     w = np.exp(-decay * d)
     return w / w.sum()
+
+
+def discrete_target(kind: str, n_coords: int, decay: float):
+    """The ring support of a discrete dataset kind and its target pmf over the points."""
+    ring = DiscreteSet(circle_points(n_coords))
+    if kind == "discrete_uniform":
+        return ring, np.full(n_coords, 1.0 / n_coords)
+    if kind == "discrete_skewed":
+        return ring, skewed_pmf(n_coords, decay)
+    raise ValueError(f"unknown discrete dataset kind {kind!r}")
 
 
 def sample_discrete(points, pmf, n: int, seed: int) -> np.ndarray:
@@ -232,17 +251,9 @@ def load_latlon_csv(path) -> np.ndarray:
 
 def build_dataset(spec: DatasetSpec, n: int, seed: int):
     """Realize a spec: returns (samples, manifold, target_pmf-or-None)."""
-    if spec.kind == "discrete_uniform":
-        pts = circle_points(spec.n_coords)
-        pmf = np.full(spec.n_coords, 1.0 / spec.n_coords)
-        return sample_discrete(pts, pmf, n, seed), DiscreteSet(pts), pmf
-    if spec.kind == "discrete_skewed":
-        pts = circle_points(spec.n_coords)
-        pmf = skewed_pmf(spec.n_coords, spec.decay)
-        return sample_discrete(pts, pmf, n, seed), DiscreteSet(pts), pmf
+    if spec.kind.startswith("discrete"):
+        ring, pmf = discrete_target(spec.kind, spec.n_coords, spec.decay)
+        return sample_discrete(ring.points, pmf, n, seed), ring, pmf
     if spec.kind == "vmf_mixture":
-        samples = sample_vmf_mixture(spec, n, seed)
-        manifold: Manifold = Sphere(spec.manifold_n)
-        return samples, manifold, None
-    samples = load_latlon_csv(spec.path)
-    return samples, Sphere(2), None
+        return sample_vmf_mixture(spec, n, seed), Sphere(spec.manifold_n), None
+    return load_latlon_csv(spec.path), Sphere(2), None

@@ -33,7 +33,6 @@ from .geometry import Manifold
 
 __all__ = [
     "NoiseSchedule",
-    "TrainTarget",
     "perturb",
     "dsm_target",
     "mad_target",
@@ -78,16 +77,6 @@ class NoiseSchedule:
         return cls(float(sigma_min), float(sigma_max), int(num_scales), sigmas)
 
 
-@dataclass(frozen=True)
-class TrainTarget:
-    """One regression target: the vector inside the norm of the active loss."""
-
-    x0: np.ndarray
-    xt: np.ndarray
-    sigma: np.ndarray
-    residual_target: np.ndarray
-
-
 def perturb(x0, sigma, rng: np.random.Generator) -> np.ndarray:
     """x0 + sigma * eps with standard normal eps; sigma = 0 returns x0 exactly."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -99,6 +88,7 @@ def perturb(x0, sigma, rng: np.random.Generator) -> np.ndarray:
 
 
 def _residual(x0, xt, sigma):
+    """Checked xt and sigma, sigma shaped to scale rows, and (x0 - xt)/sigma."""
     x0 = np.asarray(x0, dtype=np.float64)
     xt = np.asarray(xt, dtype=np.float64)
     if x0.shape != xt.shape:
@@ -107,20 +97,18 @@ def _residual(x0, xt, sigma):
     if np.any(sigma <= 0.0):
         raise ValueError("sigma must be positive")
     sig = sigma[..., None] if sigma.ndim else sigma
-    return x0, xt, sigma, sig, (x0 - xt) / sig
+    return xt, sigma, sig, (x0 - xt) / sig
 
 
-def dsm_target(x0, xt, sigma) -> TrainTarget:
+def dsm_target(x0, xt, sigma) -> np.ndarray:
     """Denoising target (x0 - xt)/sigma; loss term ||sigma f(xt) - target||^2."""
-    x0, xt, sigma, _, res = _residual(x0, xt, sigma)
-    return TrainTarget(x0=x0, xt=xt, sigma=sigma, residual_target=res)
+    return _residual(x0, xt, sigma)[3]
 
 
-def mad_target(x0, xt, sigma, manifold: Manifold) -> TrainTarget:
+def mad_target(x0, xt, sigma, manifold: Manifold) -> np.ndarray:
     """Correction target (x0 - xt)/sigma - sigma * s_base(xt, sigma)."""
-    x0, xt, sigma, sig, res = _residual(x0, xt, sigma)
-    res = res - sig * base_score(xt, sigma, manifold)
-    return TrainTarget(x0=x0, xt=xt, sigma=sigma, residual_target=res)
+    xt, sigma, sig, res = _residual(x0, xt, sigma)
+    return res - sig * base_score(xt, sigma, manifold)
 
 
 def reverse_sample(

@@ -23,7 +23,6 @@ from .errors import DegenerateInputError, GroupClosureError
 __all__ = [
     "DiscreteSet",
     "Sphere",
-    "RotationGroup",
     "Manifold",
     "SymmetryGroup",
     "quat_mul",
@@ -68,7 +67,7 @@ class DiscreteSet:
 
 @dataclass(frozen=True)
 class Sphere:
-    """Unit n-sphere embedded in R^(n+1)."""
+    """Unit n-sphere embedded in R^(n+1); Sphere(3) holds rotations as unit quaternions."""
 
     n: int
 
@@ -81,16 +80,7 @@ class Sphere:
         return self.n + 1
 
 
-@dataclass(frozen=True, eq=False)
-class RotationGroup:
-    """SO(3) in unit-quaternion coordinates."""
-
-    @property
-    def ambient_dim(self) -> int:
-        return 4
-
-
-Manifold = DiscreteSet | Sphere | RotationGroup
+Manifold = DiscreteSet | Sphere
 
 
 @dataclass(frozen=True, eq=False)

@@ -196,19 +196,15 @@ def _plain_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray, keep
     return (z, post, silu_cache) if keep else z
 
 
-def _assemble(config: MlpConfig, x: np.ndarray, emb: np.ndarray) -> np.ndarray:
-    return np.concatenate([x, emb], axis=1)
-
-
 def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     """Network output for a batch; odd in x when antisymmetrize is set."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != config.input_dim:
         raise ValueError(f"expected input dim {config.input_dim}, got {x.shape[1]}")
     emb = _embed_sigma(config, sigma, x.shape[0])
-    out = _plain_forward(params, config, _assemble(config, x, emb), keep=False)
+    out = _plain_forward(params, config, np.concatenate([x, emb], axis=1), keep=False)
     if config.antisymmetrize:
-        out -= _plain_forward(params, config, _assemble(config, -x, emb), keep=False)
+        out -= _plain_forward(params, config, np.concatenate([-x, emb], axis=1), keep=False)
         out *= 0.5
     return out
 
@@ -248,11 +244,11 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))[:, None]
 
     out, post_pos, cache_pos = _plain_forward(
-        params, config, _assemble(config, x, emb), keep=True
+        params, config, np.concatenate([x, emb], axis=1), keep=True
     )
     if config.antisymmetrize:
         out_neg, post_neg, cache_neg = _plain_forward(
-            params, config, _assemble(config, -x, emb), keep=True
+            params, config, np.concatenate([-x, emb], axis=1), keep=True
         )
         out -= out_neg
         out *= 0.5
@@ -285,17 +281,21 @@ def adam_step(
 
     Weights, biases and both moments are overwritten in the arrays `params`
     already owns; the same object is returned with its step advanced.  Moment
-    and gradient lists must match the parameter lists in length.
+    and gradient lists must match the parameter lists in length; a mismatch
+    raises ValueError before anything is updated.
     """
-    t = params.step + 1
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
     groups = (
         (params.weights, grads.weights, params.m_w, params.v_w),
         (params.biases, grads.biases, params.m_b, params.v_b),
     )
+    for ps, *others in groups:
+        if any(len(other) != len(ps) for other in others):
+            raise ValueError("moment and gradient lists must match the parameter lists")
+    t = params.step + 1
+    c1 = 1.0 - beta1**t
+    c2 = 1.0 - beta2**t
     for ps, gs, ms, vs in groups:
-        for p, g, m, v in zip(ps, gs, ms, vs, strict=True):
+        for p, g, m, v in zip(ps, gs, ms, vs):
             # same rounding as p - lr * (m/c1) / (sqrt(v/c2) + eps) with
             # m = beta1 m + (1-beta1) g and v = beta2 v + ((1-beta2) g) g
             step = np.multiply(g, 1.0 - beta1)
@@ -353,7 +353,7 @@ def train(
             target = dsm_target(x0, xt, sig)
         else:
             target = mad_target(x0, xt, sig, manifold)
-        loss, grads = backward(params, config, xt, target.residual_target, sig)
+        loss, grads = backward(params, config, xt, target, sig)
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss at step {step}", step=step)
         params = adam_step(params, grads, lr)

@@ -28,7 +28,7 @@ from manifold_dsm.basescore import (
     posterior_mean_discrete,
 )
 from manifold_dsm.errors import DegenerateInputError, UnreliableEstimateError
-from manifold_dsm.geometry import DiscreteSet, RotationGroup, Sphere
+from manifold_dsm.geometry import DiscreteSet, Sphere
 
 OCTAGON = np.stack(
     [np.array([np.cos(2 * np.pi * k / 8), np.sin(2 * np.pi * k / 8)]) for k in range(8)]
@@ -166,7 +166,6 @@ def test_dispatcher_routes_by_manifold():
     assert np.array_equal(base_score(x, 0.5, Sphere(2)), base_score_s2(x, 0.5))
     q = np.array([0.9, 0.1, -0.2, 0.3])
     assert np.array_equal(base_score(q, 0.5, Sphere(3)), base_score_s3(q, 0.5))
-    assert np.array_equal(base_score(q, 0.5, RotationGroup()), base_score_s3(q, 0.5))
     x5 = np.zeros(6)
     x5[0] = 1.1
     assert np.array_equal(base_score(x5, 0.5, Sphere(5)), base_score_nsphere(x5, 0.5, 5))

@@ -230,6 +230,13 @@ def test_train_reruns_from_its_own_record(tmp_path):
         ("schedule", {"num_scales": 1}, "schedule: need at least 2 noise scales"),
         ("manifold", {"kind": "torus"}, "manifold: unknown kind 'torus'"),
         ("training", {"loss_kind": "l1"}, "training: unknown loss_kind 'l1'"),
+        ("training", {"seed": -1}, "training: seed must be nonnegative"),
+        ("dataset", {"components": [[["0", "0", "1"], 20, 1]]},
+         "dataset: components entries must be numbers, got '0'"),
+        ("dataset", {"components": [[[0, 0, 1], "20", 1]]},
+         "dataset: components entries must be numbers, got '20'"),
+        ("dataset", {"components": [[[0, 0, 1], 20, True]]},
+         "dataset: components entries must be numbers, got True"),
     ],
 )
 def test_train_rejects_bad_config_values(tmp_path, capsys, section, value, message):
@@ -349,6 +356,7 @@ def test_sample_drift_is_distance_to_support(tmp_path):
         (["--n", "-1"], "--n must be nonnegative"),
         (["--n", "4", "--num-scales", "1"], "schedule: need at least 2 noise scales"),
         (["--n", "4", "--num-scales", "0"], "schedule: need at least 2 noise scales"),
+        (["--n", "4", "--seed", "-1"], "--seed must be nonnegative"),
     ],
 )
 def test_sample_rejects_bad_sizes(tmp_path, capsys, flags, message):
@@ -385,6 +393,23 @@ def test_sample_rejects_checkpoint_without_run_record(tmp_path, capsys):
     rc = main(["sample", "--checkpoint", str(path), "--n", "4", "--out", str(tmp_path / "s")])
     assert rc == 1
     assert "loss_kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("loss_kind", ["MAD", "l1", None, 1])
+def test_sample_rejects_unknown_loss_kind(tmp_path, capsys, loss_kind):
+    config = MlpConfig(input_dim=2, hidden_dim=8, num_hidden_layers=2)
+    params = init_params(config, np.random.default_rng(0))
+    path = tmp_path / "odd.bin"
+    extras = {"loss_kind": loss_kind, "manifold": {"kind": "discrete_circle", "n_coords": 8},
+              "schedule": {"sigma_min": 1e-4, "sigma_max": 4.0, "num_scales": 10}}
+    save_checkpoint(path, params, config, extras)
+    out = tmp_path / "s"
+    rc = main(["sample", "--checkpoint", str(path), "--n", "4", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint loss_kind {loss_kind!r} is neither 'dsm' nor 'mad'\n"
+    )
+    assert not (out / "samples.csv").exists()
 
 
 def test_sample_rejects_corrupt_checkpoint(tmp_path, capsys):
@@ -468,6 +493,19 @@ def test_eval_spread_rejects_bad_quaternion(tmp_path, capsys):
     assert "four" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header_width, row_width", [(2, 3), (3, 2)])
+def test_eval_rejects_rows_unlike_the_header(tmp_path, capsys, header_width, row_width):
+    path = tmp_path / "samples.csv"
+    header = ",".join(f"x{i}" for i in range(header_width))
+    path.write_text(header + "\n" + ",".join(["0.5"] * row_width) + "\n")
+    rc = main(["eval", "drift", "--samples", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: header names {header_width} columns, rows have {row_width}\n"
+    )
+    assert not (tmp_path / "o" / "metrics.log").exists()
+
+
 def test_eval_appends_to_shared_log(tmp_path):
     path = tmp_path / "x.csv"
     write_samples(path, 1.5 * np.eye(2))
@@ -527,3 +565,23 @@ def test_oracle_check_rejects_nonpositive_grid(capsys):
                "--sigmas", "0.5"])
     assert rc == 1
     assert "positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--radii", "abc"], "could not convert string to float: 'abc'"),
+        (["--sigmas", "0.5,"], "could not convert string to float: ''"),
+        (["--radii", "nan"], "radii and sigmas must be positive and finite"),
+        (["--sigmas", "inf"], "radii and sigmas must be positive and finite"),
+        (["--n", "0"], "Sphere needs intrinsic dimension n >= 1"),
+        (["--manifold", "discrete", "--n-coords", "1"], "n_coords must be >= 2"),
+        (["--n-mc", "1"], "--n-mc must be at least 2"),
+        (["--seed", "-1"], "--seed must be nonnegative"),
+    ],
+)
+def test_oracle_check_rejects_bad_arguments(capsys, flags, message):
+    assert main(["oracle-check", "--manifold", "sphere", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

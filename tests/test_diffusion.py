@@ -11,7 +11,6 @@ from manifold_dsm.basescore import (
 )
 from manifold_dsm.diffusion import (
     NoiseSchedule,
-    TrainTarget,
     dsm_target,
     mad_target,
     perturb,
@@ -76,10 +75,10 @@ def test_dsm_target_recovers_negative_noise():
     sigma = 0.8
     xt = x0 + sigma * eps
     t = dsm_target(x0, xt, sigma)
-    assert isinstance(t, TrainTarget)
-    assert np.max(np.abs(t.residual_target + eps)) < 1e-12
+    assert isinstance(t, np.ndarray) and t.shape == x0.shape
+    assert np.max(np.abs(t + eps)) < 1e-12
     same = dsm_target(x0, x0, sigma)
-    assert np.all(same.residual_target == 0.0)
+    assert np.all(same == 0.0)
 
 
 def test_target_identity_dsm_minus_mad_is_scaled_base_score():
@@ -92,7 +91,7 @@ def test_target_identity_dsm_minus_mad_is_scaled_base_score():
     m = mad_target(x0, xt, sigma, ds)
     sbase = sigma[:, None] * base_score(xt, sigma, ds)
     # identical up to the single rounding in the subtraction
-    assert np.max(np.abs(d.residual_target - m.residual_target - sbase)) < 5e-16 * (
+    assert np.max(np.abs(d - m - sbase)) < 5e-16 * (
         1.0 + np.max(np.abs(sbase))
     )
 
@@ -105,8 +104,8 @@ def test_loss_equivalence_shifted_dsm_equals_mad():
     xt = perturb(x0, sigma, rng)
     delta = rng.standard_normal((2000, 2))  # arbitrary correction field values
     sbase = base_score(xt, sigma, ds)
-    d = dsm_target(x0, xt, sigma).residual_target
-    m = mad_target(x0, xt, sigma, ds).residual_target
+    d = dsm_target(x0, xt, sigma)
+    m = mad_target(x0, xt, sigma, ds)
     dsm_terms = np.sum((sigma[:, None] * (sbase + delta) - d) ** 2, axis=1)
     mad_terms = np.sum((sigma[:, None] * delta - m) ** 2, axis=1)
     assert np.max(np.abs(dsm_terms - mad_terms)) < 1e-12
@@ -117,7 +116,7 @@ def test_exact_score_minimizes_dsm_loss():
     sigma = 0.6
     x0 = TWO_POINTS[rng.integers(2, size=100_000)]
     xt = perturb(x0, sigma, rng)
-    res = dsm_target(x0, xt, sigma).residual_target
+    res = dsm_target(x0, xt, sigma)
     s = base_score_discrete(xt, sigma, TWO_POINTS)  # exact for the uniform pair
     loss_exact = np.mean(np.sum((sigma * s - res) ** 2, axis=1))
     loss_zero = np.mean(np.sum(res**2, axis=1))
@@ -131,7 +130,7 @@ def test_correction_beats_zero_on_skewed_pair():
     ds = DiscreteSet(TWO_POINTS)
     x0 = TWO_POINTS[rng.choice(2, size=100_000, p=probs)]
     xt = perturb(x0, sigma, rng)
-    res = mad_target(x0, xt, sigma, ds).residual_target
+    res = mad_target(x0, xt, sigma, ds)
     delta = exact_score_discrete(xt, sigma, TWO_POINTS, probs) - base_score(xt, sigma, ds)
     loss_delta = np.mean(np.sum((sigma * delta - res) ** 2, axis=1))
     loss_zero = np.mean(np.sum(res**2, axis=1))
@@ -150,8 +149,8 @@ def test_mad_residual_centers_at_zero_for_uniform_weights():
     idx = rng.choice(2, size=200_000, p=post)
     x0 = TWO_POINTS[idx]
     res = mad_target(x0, np.broadcast_to(xt, x0.shape), sigma, DiscreteSet(TWO_POINTS))
-    mean = np.mean(res.residual_target, axis=0)
-    se = np.std(res.residual_target, axis=0) / np.sqrt(200_000)
+    mean = np.mean(res, axis=0)
+    se = np.std(res, axis=0) / np.sqrt(200_000)
     assert np.all(np.abs(mean) < 4 * se + 1e-12)
 
 

@@ -6,7 +6,6 @@ import pytest
 from manifold_dsm.errors import DegenerateInputError
 from manifold_dsm.geometry import (
     DiscreteSet,
-    RotationGroup,
     Sphere,
     build_symmetry_group,
     canonicalize,
@@ -33,7 +32,7 @@ def test_manifold_validation():
     with pytest.raises(ValueError):
         Sphere(0)
     assert Sphere(2).ambient_dim == 3
-    assert RotationGroup().ambient_dim == 4
+    assert Sphere(3).ambient_dim == 4
     assert DiscreteSet(np.array([[-1.0, 0.0], [1.0, 0.0]])).ambient_dim == 2
 
 

@@ -17,7 +17,7 @@ from manifold_dsm.datasets import (
 )
 from manifold_dsm.diffusion import NoiseSchedule, dsm_target, mad_target, perturb
 from manifold_dsm.errors import CheckpointFormatError, TrainingDivergedError
-from manifold_dsm.geometry import DiscreteSet, RotationGroup, Sphere
+from manifold_dsm.geometry import DiscreteSet, Sphere
 from manifold_dsm.mlp import (
     MlpConfig,
     _embed_sigma,
@@ -412,9 +412,9 @@ def test_gradients_match_finite_differences(antisym, embedding, fdim, loss_kind)
     sig = SCHEDULE.sigmas[np.array([10, 30, 50, 70, 90])]
     xt = perturb(x0, sig, rng)
     if loss_kind == "dsm":
-        target = dsm_target(x0, xt, sig).residual_target
+        target = dsm_target(x0, xt, sig)
     else:
-        target = mad_target(x0, xt, sig, RING).residual_target
+        target = mad_target(x0, xt, sig, RING)
 
     _, grads = backward(params, cfg, xt, target, sig)
     h = 1e-4
@@ -489,6 +489,20 @@ def test_adam_rejects_mismatched_lists():
     two_layers = NetworkGrads(weights=grads.weights * 2, biases=grads.biases * 2)
     with pytest.raises(ValueError):
         adam_step(one_param_state(0.5), two_layers, lr=0.01)
+    # a list that falls short at layer 1 leaves layer 0 untouched as well
+    params = NetworkParams(weights=[np.ones((1, 1)), np.ones((1, 1))],
+                           biases=[np.zeros(1), np.zeros(1)])
+    params.m_w = params.m_w[:1]
+
+    def arrays(p):
+        return [a for group in (p.weights, p.biases, p.m_w, p.v_w, p.m_b, p.v_b) for a in group]
+
+    before = [a.copy() for a in arrays(params)]
+    grads = NetworkGrads(weights=[np.ones((1, 1))] * 2, biases=[np.ones(1)] * 2)
+    with pytest.raises(ValueError):
+        adam_step(params, grads, lr=0.1)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(params), before, strict=True))
+    assert params.step == 0
 
 
 def test_adam_converges_on_least_squares_toy():
@@ -594,7 +608,7 @@ def test_mad_loss_below_dsm_on_sphere_mixture():
     spec = DatasetSpec(kind="vmf_mixture", manifold_n=3, components=comps)
     data = sample_vmf_mixture(spec, 4096, seed=0)
     cfg = MlpConfig(input_dim=4, hidden_dim=64, num_hidden_layers=3, antisymmetrize=True)
-    manifold = RotationGroup()
+    manifold = Sphere(3)
     schedule = NoiseSchedule.geometric(1e-4, 2.0, 100)
     _, c_mad = train(cfg, "mad", data, manifold, schedule,
                      steps=350, batch_size=128, lr=2e-3, seed=1)
