@@ -32,9 +32,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_i_scaled, bessel_ratio_i0_i1
+from .bessel import _ratio_cf, bessel_i_scaled, bessel_ratio_i0_i1
 from .errors import DegenerateInputError, UnreliableEstimateError
 from .geometry import DiscreteSet, Manifold, Sphere
+from .rowblocks import map_shards, row_blocks
 
 __all__ = [
     "posterior_mean_discrete",
@@ -88,18 +89,32 @@ def _sphere_args(x, sigma, dim: int):
 
 
 def _softmax_weights(x, sigma, points, log_probs=None) -> np.ndarray:
-    """Posterior weights over support points for queries x, shape (..., N)."""
-    diff = x[..., None, :] - points
-    np.multiply(diff, diff, out=diff)
-    expo = np.sum(diff, axis=-1)
-    np.negative(expo, out=expo)
-    expo /= 2.0 * sigma[..., None] ** 2
-    if log_probs is not None:
-        expo += log_probs
-    expo -= np.max(expo, axis=-1, keepdims=True)
-    np.exp(expo, out=expo)
-    expo /= np.sum(expo, axis=-1, keepdims=True)
-    return expo
+    """Posterior weights over support points for queries x, shape (..., N).
+
+    Filled in row blocks (see rowblocks), so the (rows, N, d) difference
+    tensor stays one block in size.
+    """
+    n_pts, dim = points.shape
+    xs = x.reshape(-1, dim)
+    sig = np.reshape(sigma, -1)
+    out = np.empty((xs.shape[0], n_pts))
+
+    def shard(blocks):
+        diff = np.empty((max(stop - start for start, stop in blocks), n_pts, dim))
+        for start, stop in blocks:
+            d = np.subtract(xs[start:stop, None, :], points, out=diff[: stop - start])
+            np.multiply(d, d, out=d)
+            expo = np.sum(d, axis=-1, out=out[start:stop])
+            np.negative(expo, out=expo)
+            expo /= 2.0 * sig[start:stop, None] ** 2
+            if log_probs is not None:
+                expo += log_probs
+            expo -= np.max(expo, axis=-1, keepdims=True)
+            np.exp(expo, out=expo)
+            expo /= np.sum(expo, axis=-1, keepdims=True)
+
+    map_shards(shard, row_blocks(xs.shape[0]))
+    return out.reshape(x.shape[:-1] + (n_pts,))
 
 
 def _score_from_mean(mean, x, sigma) -> np.ndarray:
@@ -150,7 +165,9 @@ def base_score_nsphere(x, sigma, n: int) -> np.ndarray:
 
     -x/sigma^2 + (1-n)/2 * x/||x||^2 + B(z) * x/(sigma^2 ||x||) where B is the
     Bessel bracket (I_{(n-3)/2}(z) + I_{(n+1)/2}(z)) / (2 I_{(n-1)/2}(z)) at
-    z = ||x||/sigma^2, computed from scaled Bessel values.
+    z = ||x||/sigma^2, computed from scaled Bessel values, or from the
+    continued-fraction ratios I_{(n+1)/2}/I_{(n-1)/2} and I_{(n-1)/2}/I_{(n-3)/2}
+    where the scaled I_{(n-1)/2} underflows to zero (high n, small z).
     """
     if n < 1:
         raise ValueError("n-sphere score needs n >= 1")
@@ -161,9 +178,16 @@ def base_score_nsphere(x, sigma, n: int) -> np.ndarray:
         lo = -lo
     mid = (n - 1) / 2.0
     hi = (n + 1) / 2.0
-    bracket = (bessel_i_scaled(lo, z) + bessel_i_scaled(hi, z)) / (
-        2.0 * bessel_i_scaled(mid, z)
-    )
+    lo_v, mid_v, hi_v = (np.asarray(bessel_i_scaled(nu, z)) for nu in (lo, mid, hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bracket = np.asarray((lo_v + hi_v) / (2.0 * mid_v))
+    under = mid_v == 0.0
+    if np.any(under):
+        # high order at small z: the scaled values underflow, their ratios do not
+        zu = np.asarray(z)[under]
+        up = _ratio_cf(mid, zu)
+        down = up if n == 1 else 1.0 / _ratio_cf(lo, zu)
+        bracket[under] = (down + up) / 2.0
     radial = -1.0 / sig2 + (1.0 - n) / 2.0 / r**2 + bracket / (sig2 * r)
     return x * radial[..., None]
 

@@ -250,10 +250,18 @@ def load_latlon_csv(path) -> np.ndarray:
 
 
 def build_dataset(spec: DatasetSpec, n: int, seed: int):
-    """Realize a spec: returns (samples, manifold, target_pmf-or-None)."""
+    """Realize a spec: returns (samples, manifold, target_pmf-or-None).
+
+    A latlon_file yields its rows in file order: all of them when n is at
+    least the row count, else a subset of n rows drawn with `seed`.
+    """
     if spec.kind.startswith("discrete"):
         ring, pmf = discrete_target(spec.kind, spec.n_coords, spec.decay)
         return sample_discrete(ring.points, pmf, n, seed), ring, pmf
     if spec.kind == "vmf_mixture":
         return sample_vmf_mixture(spec, n, seed), Sphere(spec.manifold_n), None
-    return load_latlon_csv(spec.path), Sphere(2), None
+    points = load_latlon_csv(spec.path)
+    if n < points.shape[0]:
+        keep = np.random.default_rng(seed).choice(points.shape[0], size=n, replace=False)
+        points = points[np.sort(keep)]
+    return points, Sphere(2), None

@@ -126,9 +126,11 @@ def reverse_sample(
         x <- x + (s_i^2 - s_{i+1}^2) score_field(x, s_i)
                + sqrt(s_i^2 - s_{i+1}^2) eps.
 
-    Noise is drawn as one (n, dim) block per step in sample order; any future
-    batch-parallel split must keep that layout for results to be unchanged.
-    Returns the (n, dim) final state.
+    Noise is drawn as one (n, dim) block per step in sample order, and
+    score_field sees the whole batch once per step; the network and the
+    discrete base score split that batch into row blocks across CPUs inside
+    the call, with bytes equal to one full-batch pass.  Returns the (n, dim)
+    final state.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -11,12 +11,25 @@ loss = mean over rows of ||sigma f - target||^2, so at the optimum f is the
 score itself (dsm) or the correction to the base score (mad).
 
 Everything is plain numpy.  Bias adds and activations run in place on each
-layer's matmul output, and every layer is checked for non-finite values.  For
-backward, the forward pass keeps each layer's input and, for silu only, each
-hidden layer's pre-activation and sigmoid; relu masks its gradient with the
-sign of the kept layer input.  Adam is the standard bias-corrected update,
-applied in place to the parameter and moment arrays.  The final layer
-initializes to zero so a fresh mad model starts exactly at the base score.
+layer's matmul output, and every layer is checked for non-finite values.
+
+`forward` (the sampler's path) runs the hidden layers in 512-row blocks (see
+rowblocks): each block moves through two ping-pong scratch buffers that stay
+in L2, where one full-batch pass over 10k rows would write and re-read a
+10 MB activation per layer.  Blocks are split into one contiguous shard per
+CPU the process may use, each with its own scratch.  Only the last hidden
+activation is kept for every row, and the output layer is one full-batch
+matmul over it: its narrow (hidden, dim) GEMM is the one that does not give
+the same bytes at every row count.  The output is therefore bitwise the
+full-batch result, at any CPU count.  A batch of at most 512 rows, such as a
+training batch, is one block.
+
+For backward, the training forward pass keeps each layer's input and, for
+silu only, each hidden layer's pre-activation and sigmoid; relu masks its
+gradient with the sign of the kept layer input.  Adam is the standard
+bias-corrected update, applied in place to the parameter and moment arrays.
+The final layer initializes to zero so a fresh mad model starts exactly at
+the base score.
 
 Checkpoints are a small versioned binary container: magic, version, a JSON
 header (config, layer shapes, caller extras), the raw little-endian float64
@@ -33,6 +46,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CheckpointFormatError, TrainingDivergedError
+from .rowblocks import map_shards, row_blocks
 
 __all__ = [
     "MlpConfig",
@@ -142,8 +156,8 @@ def _embed_sigma(config: MlpConfig, sigma: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([np.sin(ang), np.cos(ang)], axis=1)
 
 
-def _check_finite(z: np.ndarray, layer: int) -> None:
-    """Raise unless every entry of z is finite.
+def _finite(z: np.ndarray) -> bool:
+    """Whether every entry of z is finite.
 
     Any nan or inf makes the sum non-finite, so a finite sum clears the layer
     in one pass without a boolean temporary; a sum that overflows on finite
@@ -151,49 +165,95 @@ def _check_finite(z: np.ndarray, layer: int) -> None:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         total = z.sum()
-    if not np.isfinite(total) and not np.all(np.isfinite(z)):
-        raise TrainingDivergedError(f"non-finite activations at layer {layer}")
+    return bool(np.isfinite(total) or np.all(np.isfinite(z)))
 
 
-def _plain_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray, keep: bool):
-    """Run the raw MLP on pre-assembled input h; optionally keep caches.
+def _diverged(layer: int) -> TrainingDivergedError:
+    return TrainingDivergedError(f"non-finite activations at layer {layer}")
 
-    Bias add and activation run in place on each layer's matmul output.  With
-    keep, also returns post (the input of every layer) and, for silu, the
+
+def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """1/(1 + exp(-z)), built in out, which must not alias z."""
+    np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+    return out
+
+
+def _cached_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray):
+    """Run the raw MLP on pre-assembled input h, keeping what backward needs.
+
+    Returns the output, post (the input of every layer) and, for silu, the
     (pre-activation, sigmoid) pair of every hidden layer.  relu needs nothing
     beyond post: post[i + 1] > 0 exactly where hidden layer i's pre-activation
     is positive.
     """
-    post = [h] if keep else None
-    silu_cache = [] if keep else None
+    post = [h]
+    silu_cache = []
     silu = config.activation == "silu"
-    sg = None
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = h @ w
         z += b
-        _check_finite(z, i)
+        if not _finite(z):
+            raise _diverged(i)
         if i == last:
             break
-        if not silu:
-            np.maximum(z, 0.0, out=z)
+        if silu:
+            sg = _sigmoid(z, np.empty_like(z))
+            silu_cache.append((z, sg))
+            z = z * sg
         else:
-            if keep or sg is None:
-                sg = np.empty_like(z)
-            # sg = 1/(1 + exp(-z)), built in one buffer
-            np.negative(z, out=sg)
-            np.exp(sg, out=sg)
-            sg += 1.0
-            np.divide(1.0, sg, out=sg)
-            if keep:
-                silu_cache.append((z, sg))
-                z = z * sg
-            else:
-                z *= sg
+            np.maximum(z, 0.0, out=z)
         h = z
-        if keep:
-            post.append(h)
-    return (z, post, silu_cache) if keep else z
+        post.append(h)
+    return z, post, silu_cache
+
+
+def _blocked_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray) -> np.ndarray:
+    """Run the raw MLP on pre-assembled input h in row blocks.
+
+    Each block runs every hidden layer through two ping-pong scratch buffers
+    and writes its last hidden activation into one (n, hidden) array; the
+    output layer is one full-batch matmul over that array.  A block stops at
+    its first non-finite layer, and the lowest such layer over all blocks is
+    the one reported, as a full-batch pass checking layer by layer would.
+    """
+    n = h.shape[0]
+    hidden = params.weights[:-1]
+    silu = config.activation == "silu"
+    top = np.empty((n, config.hidden_dim))
+
+    def shard(blocks):
+        rows = max(stop - start for start, stop in blocks)
+        bufs = [np.empty((rows, config.hidden_dim)) for _ in range(2)]
+        sg = np.empty((rows, config.hidden_dim)) if silu else None
+        failed = None
+        for start, stop in blocks:
+            m = stop - start
+            z = h[start:stop]
+            for i, (w, b) in enumerate(zip(hidden, params.biases)):
+                dest = top[start:stop] if i == len(hidden) - 1 else bufs[i % 2][:m]
+                z = np.matmul(z, w, out=dest)
+                z += b
+                if not _finite(z):
+                    failed = i if failed is None else min(failed, i)
+                    break
+                if silu:
+                    z *= _sigmoid(z, sg[:m])
+                else:
+                    np.maximum(z, 0.0, out=z)
+        return failed
+
+    failed = [f for f in map_shards(shard, row_blocks(n)) if f is not None]
+    if failed:
+        raise _diverged(min(failed))
+    out = top @ params.weights[-1]
+    out += params.biases[-1]
+    if not _finite(out):
+        raise _diverged(len(hidden))
+    return out
 
 
 def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
@@ -202,9 +262,9 @@ def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     if x.shape[1] != config.input_dim:
         raise ValueError(f"expected input dim {config.input_dim}, got {x.shape[1]}")
     emb = _embed_sigma(config, sigma, x.shape[0])
-    out = _plain_forward(params, config, np.concatenate([x, emb], axis=1), keep=False)
+    out = _blocked_forward(params, config, np.concatenate([x, emb], axis=1))
     if config.antisymmetrize:
-        out -= _plain_forward(params, config, np.concatenate([-x, emb], axis=1), keep=False)
+        out -= _blocked_forward(params, config, np.concatenate([-x, emb], axis=1))
         out *= 0.5
     return out
 
@@ -243,12 +303,12 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     emb = _embed_sigma(config, sigma, n)
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))[:, None]
 
-    out, post_pos, cache_pos = _plain_forward(
-        params, config, np.concatenate([x, emb], axis=1), keep=True
+    out, post_pos, cache_pos = _cached_forward(
+        params, config, np.concatenate([x, emb], axis=1)
     )
     if config.antisymmetrize:
-        out_neg, post_neg, cache_neg = _plain_forward(
-            params, config, np.concatenate([-x, emb], axis=1), keep=True
+        out_neg, post_neg, cache_neg = _cached_forward(
+            params, config, np.concatenate([-x, emb], axis=1)
         )
         out -= out_neg
         out *= 0.5

@@ -16,6 +16,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from manifold_dsm import rowblocks
 from manifold_dsm.basescore import (
     OracleEstimate,
     base_score,
@@ -27,6 +28,7 @@ from manifold_dsm.basescore import (
     mc_score_oracle,
     posterior_mean_discrete,
 )
+from manifold_dsm.bessel import bessel_i_scaled
 from manifold_dsm.errors import DegenerateInputError, UnreliableEstimateError
 from manifold_dsm.geometry import DiscreteSet, Sphere
 
@@ -229,6 +231,57 @@ def test_discrete_scores_match_reference_bitwise(rows, per_row_sigma):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [2, 511, 512, 513, 1025, 4096, 10000, 10001])
+@pytest.mark.parametrize("per_row_sigma", [False, True])
+def test_blocked_discrete_scores_match_reference_bitwise(monkeypatch, rows, per_row_sigma):
+    rng = np.random.default_rng(51)
+    x = 1.5 * rng.standard_normal((rows, 2))
+    sig = np.exp(rng.uniform(-7.0, 1.0, rows)) if per_row_sigma else 0.05
+    want = [ref_discrete_score(x, sig, OCTAGON).tobytes(),
+            ref_discrete_score(x, sig, OCTAGON, np.log(SKEWED)).tobytes()]
+    for workers in (None, 1, 3):
+        if workers is not None:
+            monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+        got = [base_score_discrete(x, sig, OCTAGON).tobytes(),
+               exact_score_discrete(x, sig, OCTAGON, SKEWED).tobytes()]
+        assert got == want, workers
+
+
+def mp_nsphere_radial(r, sig, n):
+    """Radial factor of the S^n base score from mpmath Bessel values."""
+    with mp.workdps(40):
+        r, sig2 = mp.mpf(float(r)), mp.mpf(float(sig)) ** 2
+        z = r / sig2
+        bracket = (mp.besseli(mp.mpf(n - 3) / 2, z) + mp.besseli(mp.mpf(n + 1) / 2, z)) / (
+            2 * mp.besseli(mp.mpf(n - 1) / 2, z)
+        )
+        return float(-1 / sig2 + mp.mpf(1 - n) / 2 / r**2 + bracket / (sig2 * r))
+
+
+def test_high_order_sphere_score_survives_bessel_underflow():
+    # on S^400 the scaled I_{199.5}(z) underflows to 0 at z = 1; z = 400 does not
+    n = 400
+    cases = [(1.0, 1.0), (0.5, 1.0), (1.3, 2.0), (1.0, 0.05)]
+    x = np.zeros((len(cases), n + 1))
+    x[:, 0] = [r for r, _ in cases]
+    sig = np.array([s for _, s in cases])
+    batch = base_score_nsphere(x, sig, n)
+    assert np.all(np.isfinite(batch))
+    for i, (r, s) in enumerate(cases):
+        want = mp_nsphere_radial(r, s, n) * r
+        assert abs(batch[i, 0] - want) <= 1e-10 * abs(want)
+        assert np.all(batch[i, 1:] == 0.0)
+        assert base_score_nsphere(x[i], s, n).tobytes() == batch[i].tobytes()
+    # where nothing underflows, the bits are those of the scaled-value formula
+    z = 1.0 / 0.05**2
+    assert bessel_i_scaled((n - 1) / 2, z) > 0.0
+    bracket = (bessel_i_scaled((n - 3) / 2, z) + bessel_i_scaled((n + 1) / 2, z)) / (
+        2.0 * bessel_i_scaled((n - 1) / 2, z)
+    )
+    sig2 = 0.05**2
+    assert batch[3, 0] == -1.0 / sig2 + (1.0 - n) / 2.0 + bracket / sig2
 
 
 def test_batch_and_scalar_shapes():

@@ -90,6 +90,17 @@ def test_make_data_latlon_error_reports_line(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_make_data_latlon_honours_n(tmp_path, capsys):
+    csv = tmp_path / "pts.csv"
+    csv.write_text("lat,lon\n10,20\n-5,30\n40,-60\n")
+    cfg = write_config(tmp_path, dataset={"kind": "latlon_file", "path": str(csv)})
+    for n, rows in (("1", 1), ("3", 3), ("10", 3)):
+        out = tmp_path / f"o{n}"
+        assert main(["make-data", "--config", str(cfg), "--n", n, "--out", str(out)]) == 0
+        assert len((out / "data.csv").read_text().splitlines()) == 1 + rows
+        assert f"wrote {rows} samples" in capsys.readouterr().out
+
+
 def test_missing_config_section_exits_one(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"dataset": {"kind": "discrete_uniform"}}))
@@ -558,6 +569,16 @@ def test_oracle_check_reports_unreliable_cells_as_inconclusive(capsys):
     out = capsys.readouterr().out
     assert "INCONCLUSIVE" in out
     assert "FAIL" not in out
+
+
+def test_oracle_check_high_order_sphere(capsys):
+    # the scaled Bessel values of the S^400 bracket underflow to 0 at z = 1
+    rc = main(["oracle-check", "--manifold", "sphere", "--n", "400",
+               "--radii", "1", "--sigmas", "1.0", "--seed", "4"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out
+    assert "nan" not in out
 
 
 def test_oracle_check_rejects_nonpositive_grid(capsys):

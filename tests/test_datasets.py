@@ -221,6 +221,23 @@ def test_latlon_known_points(tmp_path):
     np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, atol=1e-15)
 
 
+def test_build_dataset_latlon_keeps_a_seeded_subset_of_n_rows(tmp_path):
+    f = tmp_path / "pts.csv"
+    f.write_text("lat,lon\n" + "".join(f"{lat},{2 * lat}\n" for lat in range(-40, 50, 10)))
+    rows = load_latlon_csv(f)
+    spec = DatasetSpec(kind="latlon_file", path=str(f))
+    for n in (rows.shape[0], rows.shape[0] + 1, 16384):
+        out, manifold, pmf = build_dataset(spec, n, seed=0)
+        assert np.array_equal(out, rows)
+        assert manifold == Sphere(2) and pmf is None
+    picked = build_dataset(spec, 4, seed=3)[0]
+    index = [int(np.flatnonzero(np.all(rows == p, axis=1))[0]) for p in picked]
+    assert len(set(index)) == 4 and index == sorted(index)  # distinct rows, file order
+    assert np.array_equal(build_dataset(spec, 4, seed=3)[0], picked)
+    others = {build_dataset(spec, 4, seed=s)[0].tobytes() for s in range(4, 10)}
+    assert others - {picked.tobytes()}
+
+
 def test_latlon_header_tolerance_and_crlf(tmp_path):
     f = tmp_path / "pts.csv"
     f.write_bytes(b" LAT , Lon \r\n10.5,-20.25\r\n\r\n30,40\r\n")
@@ -291,7 +308,7 @@ def test_build_dataset_vmf_and_file(tmp_path):
     f = tmp_path / "d.csv"
     f.write_text("lat,lon\n0,0\n0,90\n")
     spec_f = DatasetSpec(kind="latlon_file", path=str(f))
-    samples, manifold, pmf = build_dataset(spec_f, 0, seed=0)
+    samples, manifold, pmf = build_dataset(spec_f, 2, seed=0)
     assert samples.shape == (2, 3)
     assert isinstance(manifold, Sphere) and manifold.n == 2
     assert pmf is None

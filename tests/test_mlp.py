@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import struct
+import sys
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from manifold_dsm.datasets import (
 )
 from manifold_dsm.diffusion import NoiseSchedule, dsm_target, mad_target, perturb
 from manifold_dsm.errors import CheckpointFormatError, TrainingDivergedError
+from manifold_dsm import rowblocks
 from manifold_dsm.geometry import DiscreteSet, Sphere
 from manifold_dsm.mlp import (
     MlpConfig,
@@ -394,6 +396,111 @@ def test_chained_adam_steps_match_reference_bitwise(activation, antisym, embeddi
     assert params.step == ref.step == 5
     for a, b in zip(state_arrays(params), state_arrays(ref)):
         assert_same_bits(a, b)
+
+
+# Row counts around the 512-row block: one row, a block and a row either side,
+# a one-row tail (1025), many blocks, and a 10k sampling batch with and
+# without a one-row tail.
+BLOCK_EDGE_ROWS = [1, 2, 511, 512, 513, 1025, 4096, 10000, 10001]
+
+
+def forward_bytes_by_workers(monkeypatch, params, cfg, x, sig):
+    """Forward output bytes at the process's worker count, one worker and three."""
+    out = [forward(params, cfg, x, sig).tobytes()]
+    for workers in (1, 3):
+        monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+        out.append(forward(params, cfg, x, sig).tobytes())
+    return out
+
+
+@NET_VARIANTS
+@pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+def test_blocked_forward_matches_reference_bitwise(monkeypatch, activation, antisym,
+                                                   embedding, fdim, rows):
+    cfg = tiny_config(hidden_dim=16, num_hidden_layers=3, activation=activation,
+                      antisymmetrize=antisym, sigma_embedding=embedding, fourier_dim=fdim)
+    params = randomized_params(cfg, 44)
+    rng = np.random.default_rng(45)
+    x = rng.standard_normal((rows, 2))
+    sig = np.exp(rng.uniform(-6.0, 1.0, rows))
+    want = ref_forward(params, cfg, x, sig).tobytes()
+    assert forward_bytes_by_workers(monkeypatch, params, cfg, x, sig) == [want] * 3
+
+
+@pytest.mark.parametrize(
+    "model,dim",
+    [(dict(hidden_dim=128, activation="relu"), 2),
+     (dict(hidden_dim=64, activation="silu", antisymmetrize=True), 4)],
+    ids=["ring_relu128", "s3_silu64_antisym"],
+)
+def test_blocked_forward_matches_reference_at_sampling_size(monkeypatch, model, dim):
+    cfg = MlpConfig(input_dim=dim, num_hidden_layers=3, **model)
+    params = randomized_params(cfg, 46)
+    x = np.random.default_rng(47).standard_normal((10001, dim))
+    want = ref_forward(params, cfg, x, 0.3).tobytes()
+    assert forward_bytes_by_workers(monkeypatch, params, cfg, x, 0.3) == [want] * 3
+
+
+def diverging_params():
+    """relu 2 -> 4 x 3 -> 2 net: x = (1e200, 0) stays finite through layers 0
+    and 1 and reaches -inf at layer 2; a nan input fails at layer 0."""
+    cfg = tiny_config(hidden_dim=4, num_hidden_layers=3, activation="relu")
+    params = init_params(cfg, np.random.default_rng(12))
+    for w, b in zip(params.weights, params.biases):
+        w[:] = 1.0
+        b[:] = 0.0
+    params.weights[2][:] = -1e108
+    return cfg, params
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_blocked_forward_reports_the_lowest_failing_layer(monkeypatch, workers):
+    monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+    cfg, params = diverging_params()
+    x = np.zeros((1025, 2))
+    x[0, 0] = 1e200  # first block: -inf at layer 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (forward, ref_forward):
+            with pytest.raises(TrainingDivergedError, match="layer 2"):
+                fn(params, cfg, x, 1.0)
+        x[-1, 0] = np.nan  # last block: nan from layer 0 on
+        for fn in (forward, ref_forward):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 0"):
+                fn(params, cfg, x, 1.0)
+
+
+def test_caller_errstate_applies_in_pool_workers(monkeypatch):
+    # only the last of three blocks overflows in silu's exp, and with three
+    # workers that block runs on a pool thread
+    monkeypatch.setattr(rowblocks, "_WORKERS", 3)
+    cfg = tiny_config(activation="silu")
+    params = init_params(cfg, np.random.default_rng(13))
+    params.weights[0][:] = -1.0
+    params.biases[0][:] = 0.0
+    x = np.full((1536, 2), 0.1)
+    x[-300:] = 1000.0
+    with np.errstate(over="raise"):
+        for fn in (forward, ref_forward):
+            with pytest.raises(FloatingPointError):
+                fn(params, cfg, x, 1.0)
+
+
+def test_blocked_forward_is_stable_under_thread_switching(monkeypatch):
+    # more workers than CPUs and a short switch interval: a row written by
+    # the wrong worker or lost between shards would change the bytes
+    monkeypatch.setattr(rowblocks, "_WORKERS", 8)
+    monkeypatch.setattr(rowblocks, "_pool", None)
+    cfg = tiny_config(hidden_dim=16, activation="silu", antisymmetrize=True)
+    params = randomized_params(cfg, 48)
+    x = np.random.default_rng(49).standard_normal((10001, 2))
+    want = ref_forward(params, cfg, x, 0.2).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert forward(params, cfg, x, 0.2).tobytes() == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def loss_of(params, cfg, x, target, sig):
