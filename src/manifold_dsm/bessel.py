@@ -53,10 +53,6 @@ class BesselOrder:
             )
         object.__setattr__(self, "nu", nu)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.nu == round(self.nu)
-
 
 def _as_order(nu) -> float:
     if isinstance(nu, BesselOrder):

@@ -8,8 +8,8 @@ and loss kind in their header.
 Each config section is one frozen dataclass: `dataset` is `DatasetSpec`,
 `model` is `MlpConfig` (its `input_dim` is the manifold's), and `manifold`,
 `schedule` and `training` are declared here.  `from_dict` parses a section;
-an unknown key, a value of the wrong JSON type or a value the class rejects
-exits 1 with `error: <section>: ...`.
+an unknown key, a value of the wrong JSON type, a non-finite number or a
+value the class rejects exits 1 with `error: <section>: ...`.
 
 Every command that writes artifacts also writes `<command>.config.json` into
 the output directory: the fields of the config objects the run used, defaults
@@ -56,7 +56,7 @@ def _load_json(path) -> dict:
             cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} is not a JSON object")
@@ -127,7 +127,7 @@ def _checked(section: str, make, *args, **kwargs):
     of the section."""
     try:
         return make(*args, **kwargs)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -135,7 +135,8 @@ def from_dict(cls, cfg: dict, section: str, **overrides):
     """Build the config dataclass `cls` from the JSON object cfg[section].
 
     Every key must name a field of `cls` and hold a value of the field's JSON
-    type; an int is accepted, and stored as a float, for a float field.
+    type; an int is accepted, and stored as a float, for a float field, which
+    must be finite (Python's json reads NaN and Infinity).
     `overrides` set fields whatever the section says.  Failures, including
     the class's own validation, raise ConfigError("<section>: ...").
     """
@@ -150,7 +151,11 @@ def from_dict(cls, cfg: dict, section: str, **overrides):
         want = _JSON_TYPES[types[key]]
         if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
             raise ConfigError(f"{section}: {key} must be {types[key]}, got {value!r}")
-        kwargs[key] = float(value) if types[key] == "float" else value
+        if types[key] == "float":
+            value = _checked(section, float, value)
+            if not np.isfinite(value):
+                raise ConfigError(f"{section}: {key} must be finite, got {value}")
+        kwargs[key] = value
     return _checked(section, cls, **{**kwargs, **overrides})
 
 

@@ -45,7 +45,10 @@ def _number(value) -> float:
     # float() would also take the JSON strings "20" and booleans
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"components entries must be numbers, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"components entries must be finite, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -160,8 +163,9 @@ def sample_vmf(mean, kappa: float, n: int, rng: np.random.Generator) -> np.ndarr
     if norm < 1e-12:
         raise ValueError("vMF mean must be a nonzero direction")
     mean = mean / norm
-    if kappa <= 0.0:
-        raise ValueError("kappa must be positive")
+    # a nan or infinite kappa makes the rejection loop below never accept
+    if not 0.0 < kappa < np.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     p = mean.shape[0]
     if n == 0:
         return np.zeros((0, p))

@@ -24,9 +24,13 @@ the same bytes at every row count.  The output is therefore bitwise the
 full-batch result, at any CPU count.  A batch of at most 512 rows, such as a
 training batch, is one block.
 
-For backward, the training forward pass keeps each layer's input and, for
-silu only, each hidden layer's pre-activation and sigmoid; relu masks its
-gradient with the sign of the kept layer input.  Adam is the standard
+`backward` (the training path) runs in one workspace per thread, built once
+per (layer shapes, rows, activation, branch count): each branch's input,
+matmul outputs and silu sigmoids and activations, and the upstream gradients,
+weight-gradient products and relu mask or silu derivative the branches share.
+A batch-512 hidden array is 512 KiB, which glibc maps and page-faults afresh
+on every allocation.  Gradients stay fresh zeroed arrays that each branch
+adds into, so nothing returned aliases the workspace.  Adam is the standard
 bias-corrected update, applied in place to the parameter and moment arrays.
 The final layer initializes to zero so a fresh mad model starts exactly at
 the base score.
@@ -41,7 +45,9 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import threading
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -172,43 +178,32 @@ def _diverged(layer: int) -> TrainingDivergedError:
     return TrainingDivergedError(f"non-finite activations at layer {layer}")
 
 
-def _sigmoid(z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """1/(1 + exp(-z)), built in out, which must not alias z."""
-    np.negative(z, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.divide(1.0, out, out=out)
-    return out
-
-
-def _cached_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray):
-    """Run the raw MLP on pre-assembled input h, keeping what backward needs.
-
-    Returns the output, post (the input of every layer) and, for silu, the
-    (pre-activation, sigmoid) pair of every hidden layer.  relu needs nothing
-    beyond post: post[i + 1] > 0 exactly where hidden layer i's pre-activation
-    is positive.
-    """
-    post = [h]
-    silu_cache = []
-    silu = config.activation == "silu"
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w
+def _hidden_layers(params: NetworkParams, silu: bool, h, zs, sgs, acts):
+    """Run the hidden layers from input h: layer i's matmul into zs[i], its
+    silu sigmoid into sgs[i] and its activation into acts[i], which may be
+    zs[i].  Returns the first layer with a non-finite entry, or None."""
+    for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases)):
+        z = np.matmul(h, w, out=zs[i])
         z += b
         if not _finite(z):
-            raise _diverged(i)
-        if i == last:
-            break
-        if silu:
-            sg = _sigmoid(z, np.empty_like(z))
-            silu_cache.append((z, sg))
-            z = z * sg
+            return i
+        if silu:  # z * sg with sg = 1/(1 + exp(-z))
+            sg = np.negative(z, out=sgs[i])
+            np.exp(sg, out=sg)
+            sg += 1.0
+            np.divide(1.0, sg, out=sg)
+            h = np.multiply(z, sg, out=acts[i])
         else:
-            np.maximum(z, 0.0, out=z)
-        h = z
-        post.append(h)
-    return z, post, silu_cache
+            h = np.maximum(z, 0.0, out=acts[i])
+    return None
+
+
+def _output_layer(params: NetworkParams, h: np.ndarray, out=None) -> np.ndarray:
+    out = np.matmul(h, params.weights[-1], out=out)
+    out += params.biases[-1]
+    if not _finite(out):
+        raise _diverged(len(params.weights) - 1)
+    return out
 
 
 def _blocked_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray) -> np.ndarray:
@@ -221,7 +216,7 @@ def _blocked_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray) ->
     the one reported, as a full-batch pass checking layer by layer would.
     """
     n = h.shape[0]
-    hidden = params.weights[:-1]
+    layers = len(params.weights) - 1
     silu = config.activation == "silu"
     top = np.empty((n, config.hidden_dim))
 
@@ -229,31 +224,18 @@ def _blocked_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray) ->
         rows = max(stop - start for start, stop in blocks)
         bufs = [np.empty((rows, config.hidden_dim)) for _ in range(2)]
         sg = np.empty((rows, config.hidden_dim)) if silu else None
-        failed = None
+        failed = []
         for start, stop in blocks:
             m = stop - start
-            z = h[start:stop]
-            for i, (w, b) in enumerate(zip(hidden, params.biases)):
-                dest = top[start:stop] if i == len(hidden) - 1 else bufs[i % 2][:m]
-                z = np.matmul(z, w, out=dest)
-                z += b
-                if not _finite(z):
-                    failed = i if failed is None else min(failed, i)
-                    break
-                if silu:
-                    z *= _sigmoid(z, sg[:m])
-                else:
-                    np.maximum(z, 0.0, out=z)
-        return failed
+            zs = [bufs[i % 2][:m] for i in range(layers - 1)] + [top[start:stop]]
+            sgs = [sg[:m]] * layers if silu else None
+            failed.append(_hidden_layers(params, silu, h[start:stop], zs, sgs, zs))
+        return [f for f in failed if f is not None]
 
-    failed = [f for f in map_shards(shard, row_blocks(n)) if f is not None]
+    failed = sum(map_shards(shard, row_blocks(n)), [])
     if failed:
         raise _diverged(min(failed))
-    out = top @ params.weights[-1]
-    out += params.biases[-1]
-    if not _finite(out):
-        raise _diverged(len(hidden))
-    return out
+    return _output_layer(params, top)
 
 
 def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
@@ -269,32 +251,33 @@ def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     return out
 
 
-def _backprop_branch(params, config, post, silu_cache, upstream, grads: NetworkGrads):
-    """Accumulate parameter grads for one cached forward pass."""
-    g = upstream
-    scratch = None
-    for i in reversed(range(len(params.weights))):
-        grads.weights[i] += post[i].T @ g
-        grads.biases[i] += g.sum(axis=0)
-        if i == 0:
-            break
-        g = g @ params.weights[i].T
-        if config.activation == "relu":
-            g *= post[i] > 0.0
-        else:
-            # silu'(z) = sg * (1 + z * (1 - sg)), built in one buffer
-            z, sg = silu_cache[i - 1]
-            if scratch is None:
-                scratch = np.empty_like(z)
-            np.subtract(1.0, sg, out=scratch)
-            scratch *= z
-            scratch += 1.0
-            scratch *= sg
-            g *= scratch
+# the calling thread's training workspace, if any (see the module docstring)
+_workspaces = threading.local()
+
+
+def _workspace(config: MlpConfig, n: int, branches: int) -> SimpleNamespace:
+    """The calling thread's workspace for a training step on n rows."""
+    shapes = config.layer_shapes()
+    key = (tuple(shapes), n, config.activation, branches)
+    ws = getattr(_workspaces, "ws", None)
+    if ws is None or ws.key != key:
+        silu = config.activation == "silu"
+        new = lambda dims: [np.empty(d) for d in dims]
+        hidden = [(n, fan_out) for _, fan_out in shapes[:-1]]
+        zs = [new(hidden + [(n, config.input_dim)]) for _ in range(branches)]
+        ws = _workspaces.ws = SimpleNamespace(
+            key=key, inputs=new([(n, shapes[0][0])] * branches), zs=zs,
+            sgs=[new(hidden) if silu else None for _ in zs],
+            acts=[new(hidden) if silu else z[:-1] for z in zs],
+            ups=new([(n, fan_in) for fan_in, _ in shapes[1:]]), prods=new(shapes),
+            deriv=np.empty((n, config.hidden_dim), np.float64 if silu else bool),
+        )
+    return ws
 
 
 def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma):
-    """Loss mean ||sigma f - target||^2 over rows, and its parameter gradients."""
+    """Loss mean ||sigma f - target||^2 over rows, and its parameter gradients;
+    see the module docstring for the workspace both passes run in."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = np.atleast_2d(np.asarray(residual_target, dtype=np.float64))
     if x.shape != t.shape or x.shape[1] != config.input_dim:
@@ -303,14 +286,18 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     emb = _embed_sigma(config, sigma, n)
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))[:, None]
 
-    out, post_pos, cache_pos = _cached_forward(
-        params, config, np.concatenate([x, emb], axis=1)
-    )
+    ws = _workspace(config, n, 2 if config.antisymmetrize else 1)
+    silu = config.activation == "silu"
+    for branch, h in enumerate(ws.inputs):
+        h[:, : config.input_dim] = -x if branch else x
+        h[:, config.input_dim :] = emb
+        failed = _hidden_layers(params, silu, h, ws.zs[branch], ws.sgs[branch], ws.acts[branch])
+        if failed is not None:
+            raise _diverged(failed)
+        _output_layer(params, ws.acts[branch][-1], out=ws.zs[branch][-1])
+    out = ws.zs[0][-1]
     if config.antisymmetrize:
-        out_neg, post_neg, cache_neg = _cached_forward(
-            params, config, np.concatenate([-x, emb], axis=1)
-        )
-        out -= out_neg
+        out -= ws.zs[1][-1]
         out *= 0.5
 
     resid = sig * out - t
@@ -321,11 +308,24 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
         weights=[np.zeros_like(w) for w in params.weights],
         biases=[np.zeros_like(b) for b in params.biases],
     )
-    if config.antisymmetrize:
-        _backprop_branch(params, config, post_pos, cache_pos, 0.5 * d_out, grads)
-        _backprop_branch(params, config, post_neg, cache_neg, -0.5 * d_out, grads)
-    else:
-        _backprop_branch(params, config, post_pos, cache_pos, d_out, grads)
+    upstreams = (0.5 * d_out, -0.5 * d_out) if config.antisymmetrize else (d_out,)
+    for branch, g in enumerate(upstreams):
+        post = [ws.inputs[branch]] + ws.acts[branch]  # the input of every layer
+        d = ws.deriv
+        for i in reversed(range(len(params.weights))):
+            grads.weights[i] += np.matmul(post[i].T, g, out=ws.prods[i])
+            grads.biases[i] += g.sum(axis=0)
+            if i == 0:
+                break
+            g = np.matmul(g, params.weights[i].T, out=ws.ups[i - 1])
+            if silu:  # silu'(z) = sg * (1 + z * (1 - sg))
+                np.subtract(1.0, ws.sgs[branch][i - 1], out=d)
+                d *= ws.zs[branch][i - 1]
+                d += 1.0
+                d *= ws.sgs[branch][i - 1]
+            else:  # post[i] > 0 exactly where hidden layer i - 1's pre-activation is
+                np.greater(post[i], 0.0, out=d)
+            g *= d
     return loss, grads
 
 
@@ -392,6 +392,9 @@ def train(
     Each step: sample rows with replacement, draw one noise scale per row
     uniformly over the schedule's discrete levels, perturb, regress against
     the dsm or mad residual target.  Returns (params, per-step loss array).
+
+    Steps reuse the thread's backward workspace (see the module docstring),
+    which is dropped however training ends, so none of it outlives the call.
     """
     from .diffusion import dsm_target, mad_target, perturb
 
@@ -405,19 +408,22 @@ def train(
     rng = np.random.default_rng(seed)
     params = init_params(config, rng)
     curve = np.empty(steps)
-    for step in range(steps):
-        x0 = dataset[rng.integers(dataset.shape[0], size=batch_size)]
-        sig = schedule.sigmas[rng.integers(schedule.num_scales, size=batch_size)]
-        xt = perturb(x0, sig, rng)
-        if loss_kind == "dsm":
-            target = dsm_target(x0, xt, sig)
-        else:
-            target = mad_target(x0, xt, sig, manifold)
-        loss, grads = backward(params, config, xt, target, sig)
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss at step {step}", step=step)
-        params = adam_step(params, grads, lr)
-        curve[step] = loss
+    try:
+        for step in range(steps):
+            x0 = dataset[rng.integers(dataset.shape[0], size=batch_size)]
+            sig = schedule.sigmas[rng.integers(schedule.num_scales, size=batch_size)]
+            xt = perturb(x0, sig, rng)
+            if loss_kind == "dsm":
+                target = dsm_target(x0, xt, sig)
+            else:
+                target = mad_target(x0, xt, sig, manifold)
+            loss, grads = backward(params, config, xt, target, sig)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss at step {step}", step=step)
+            params = adam_step(params, grads, lr)
+            curve[step] = loss
+    finally:
+        _workspaces.ws = None
     return params, curve
 
 

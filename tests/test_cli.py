@@ -109,6 +109,15 @@ def test_missing_config_section_exits_one(tmp_path, capsys):
     assert "manifold" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ['{"dataset": ', '{"training": {"lr": 1' + "0" * 5000 + "}}"],
+                         ids=["truncated", "int_past_digit_limit"])
+def test_unreadable_json_config_exits_one(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config {path} is not valid JSON: ")
+
+
 def test_unknown_dataset_kind_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, dataset={"kind": "mystery"})
     rc = main(["make-data", "--config", str(cfg), "--n", "5", "--out", str(tmp_path / "o")])
@@ -248,11 +257,27 @@ def test_train_reruns_from_its_own_record(tmp_path):
          "dataset: components entries must be numbers, got '20'"),
         ("dataset", {"components": [[[0, 0, 1], 20, True]]},
          "dataset: components entries must be numbers, got True"),
+        # Python's json reads NaN, Infinity and -Infinity
+        ("training", {"lr": float("nan")}, "training: lr must be finite, got nan"),
+        ("schedule", {"sigma_max": float("inf")}, "schedule: sigma_max must be finite, got inf"),
+        ("schedule", {"sigma_min": -float("inf")}, "schedule: sigma_min must be finite, got -inf"),
+        ("dataset", {"decay": float("inf")}, "dataset: decay must be finite, got inf"),
+        ("training", {"lr": 10**400}, "training: int too large to convert to float"),
+        # an infinite kappa once sent vMF sampling into a rejection loop that never ends
+        ("dataset", {"kind": "vmf_mixture", "components": [[[0, 0, 1], float("inf"), 1]]},
+         "dataset: components entries must be finite, got inf"),
+        ("dataset", {"kind": "vmf_mixture", "components": [[[0, float("nan"), 1], 20, 1]]},
+         "dataset: components entries must be finite, got nan"),
+        ("dataset", {"kind": "vmf_mixture", "components": [[[0, 0, 1], 20, float("inf")]]},
+         "dataset: components entries must be finite, got inf"),
+        ("dataset", {"kind": "vmf_mixture", "components": [[[0, 0, 1], 10**400, 1]]},
+         "dataset: int too large to convert to float"),
     ],
 )
-def test_train_rejects_bad_config_values(tmp_path, capsys, section, value, message):
+def test_train_rejects_bad_config_values(tmp_path, capsys, time_limit, section, value, message):
     cfg = write_config(tmp_path, **{section: value})
-    assert main(["train", "--config", str(cfg)]) == 1
+    with time_limit(60):
+        assert main(["train", "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "run" / "checkpoint.bin").exists()
 

@@ -110,6 +110,13 @@ def test_vmf_unit_norm_and_validation():
         sample_vmf(np.array([0.0, 0.0, 1.0]), 0.0, 10, rng)
 
 
+@pytest.mark.parametrize("kappa", [np.inf, np.nan, -np.inf])
+def test_vmf_rejects_non_finite_kappa(time_limit, kappa):
+    # a nan or infinite kappa makes the rejection loop's acceptance test nan
+    with time_limit(30), pytest.raises(ValueError, match="kappa must be positive and finite"):
+        sample_vmf(np.array([0.0, 0.0, 1.0]), kappa, 10, np.random.default_rng(0))
+
+
 def test_vmf_high_concentration_hugs_mean():
     mean = np.array([1.0, 2.0, 2.0]) / 3.0
     rng = np.random.default_rng(4)

@@ -5,6 +5,7 @@ import hashlib
 import json
 import struct
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -13,12 +14,14 @@ import pytest
 from manifold_dsm.datasets import (
     DatasetSpec,
     circle_points,
+    sample_discrete,
     sample_vmf_mixture,
+    skewed_pmf,
     symmetrize_components,
 )
 from manifold_dsm.diffusion import NoiseSchedule, dsm_target, mad_target, perturb
 from manifold_dsm.errors import CheckpointFormatError, TrainingDivergedError
-from manifold_dsm import rowblocks
+from manifold_dsm import mlp, rowblocks
 from manifold_dsm.geometry import DiscreteSet, Sphere
 from manifold_dsm.mlp import (
     MlpConfig,
@@ -396,6 +399,177 @@ def test_chained_adam_steps_match_reference_bitwise(activation, antisym, embeddi
     assert params.step == ref.step == 5
     for a, b in zip(state_arrays(params), state_arrays(ref)):
         assert_same_bits(a, b)
+
+
+def ref_train(config, loss_kind, dataset, manifold, schedule, steps, batch_size, lr, seed):
+    """train's loop on the reference backward and Adam, with the same draws."""
+    rng = np.random.default_rng(seed)
+    params = init_params(config, rng)
+    curve = np.empty(steps)
+    for step in range(steps):
+        x0 = dataset[rng.integers(dataset.shape[0], size=batch_size)]
+        sig = schedule.sigmas[rng.integers(schedule.num_scales, size=batch_size)]
+        xt = perturb(x0, sig, rng)
+        if loss_kind == "dsm":
+            target = dsm_target(x0, xt, sig)
+        else:
+            target = mad_target(x0, xt, sig, manifold)
+        curve[step], grads = ref_backward(params, config, xt, target, sig)
+        params = ref_adam_step(params, grads, lr)
+    return params, curve
+
+
+RING_RELU128 = MlpConfig(input_dim=2, hidden_dim=128, num_hidden_layers=3, activation="relu")
+S3_SILU64_ANTISYM = MlpConfig(input_dim=4, hidden_dim=64, num_hidden_layers=3,
+                              activation="silu", antisymmetrize=True)
+S3_AXES = ((1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.0, -1.0, 0.0, 0.0))
+
+
+def benchmark_shaped_run(name):
+    """(config, data, manifold, schedule, batch size) shaped like the benchmark's
+    ring_mad and rotation_pair training runs."""
+    if name == "ring_relu128_batch512":
+        data = sample_discrete(RING.points, skewed_pmf(8, 0.8), 4096, seed=102)
+        return RING_RELU128, data, RING, NoiseSchedule.geometric(1e-4, 4.0, 100), 512
+    spec = DatasetSpec(kind="vmf_mixture", manifold_n=3,
+                       components=tuple((axis, 40.0, 0.25) for axis in S3_AXES))
+    data = sample_vmf_mixture(spec, 4096, seed=202)
+    return S3_SILU64_ANTISYM, data, Sphere(3), NoiseSchedule.geometric(1e-4, 2.0, 100), 128
+
+
+@pytest.mark.parametrize("loss_kind", ["mad", "dsm"])
+@pytest.mark.parametrize("run", ["ring_relu128_batch512", "s3_silu64_antisym_batch128"])
+def test_train_matches_reference_loop_bitwise(run, loss_kind):
+    config, data, manifold, schedule, batch = benchmark_shaped_run(run)
+    params, curve = train(config, loss_kind, data, manifold, schedule,
+                          steps=20, batch_size=batch, lr=2e-3, seed=2)
+    ref, ref_curve = ref_train(config, loss_kind, data, manifold, schedule, 20, batch, 2e-3, 2)
+    assert_same_bits(curve, ref_curve)
+    assert params.step == ref.step == 20
+    for a, b in zip(state_arrays(params), state_arrays(ref), strict=True):
+        assert_same_bits(a, b)
+
+
+def workspace_arrays():
+    ws = getattr(mlp._workspaces, "ws", None)
+    if ws is None:
+        return []
+    out = []
+    for value in vars(ws).values():
+        for item in value if isinstance(value, list) else [value]:
+            out += item if isinstance(item, list) else [item]
+    return [a for a in out if isinstance(a, np.ndarray)]
+
+
+def backward_case(config, rows, seed):
+    rng = np.random.default_rng(seed)
+    params = randomized_params(config, seed)
+    x = rng.standard_normal((rows, config.input_dim))
+    target = rng.standard_normal((rows, config.input_dim))
+    sig = np.exp(rng.uniform(-6.0, 1.0, rows))
+    return params, x, target, sig
+
+
+def assert_same_loss_and_grads(got, want):
+    (loss, grads), (ref_loss, ref_grads) = got, want
+    assert_same_bits(loss, ref_loss)
+    for a, b in zip(grads.weights + grads.biases, ref_grads.weights + ref_grads.biases,
+                    strict=True):
+        assert_same_bits(a, b)
+
+
+def test_backward_workspace_is_reused_and_never_returned():
+    results = []
+    for config in (RING_RELU128, S3_SILU64_ANTISYM):
+        for k, rows in enumerate((512, 128, 512)):
+            params, x, target, sig = backward_case(config, rows, 60 + k)
+            got = backward(params, config, x, target, sig)
+            arrays = workspace_arrays()
+            assert arrays and not any(np.shares_memory(g, a) for a in arrays
+                                      for g in got[1].weights + got[1].biases)
+            want = ref_backward(params, config, x, target, sig)
+            assert_same_loss_and_grads(got, want)
+            # a second call with the same shapes runs in the same arrays
+            again = backward(params, config, x, target, sig)
+            assert all(a is b for a, b in zip(workspace_arrays(), arrays, strict=True))
+            assert_same_loss_and_grads(again, want)
+            results.append((got, want))
+    # later calls, at any shape, leave earlier results as they were
+    for got, want in results:
+        assert_same_loss_and_grads(got, want)
+
+
+def test_backward_in_concurrent_threads_matches_reference():
+    # four threads on two CPUs, two per configuration with their own data: a
+    # workspace shared between threads would mix their activations
+    cases = [(config, *backward_case(config, rows, 70 + k))
+             for k, (config, rows) in enumerate([(RING_RELU128, 512), (RING_RELU128, 512),
+                                                 (S3_SILU64_ANTISYM, 128),
+                                                 (S3_SILU64_ANTISYM, 128)])]
+    wants = [ref_backward(params, config, x, target, sig)
+             for config, params, x, target, sig in cases]
+    start = threading.Barrier(len(cases))
+    errors, done = [], []
+
+    def run(case, want):
+        config, params, x, target, sig = case
+        try:
+            start.wait(timeout=30)
+            for _ in range(20):
+                assert_same_loss_and_grads(backward(params, config, x, target, sig), want)
+            done.append(True)
+        except BaseException as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(cases, wants)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert len(done) == len(cases)
+
+
+def test_train_drops_its_workspace_however_it_ends():
+    cfg = tiny_config()
+    params, x, target, sig = backward_case(cfg, 8, 80)
+    backward(params, cfg, x, target, sig)
+    assert workspace_arrays()
+    train(cfg, "mad", RING.points.copy(), RING, SCHEDULE, steps=3, batch_size=8, lr=1e-3, seed=0)
+    assert getattr(mlp._workspaces, "ws", None) is None
+    backward(params, cfg, x, target, sig)
+    with pytest.raises(TrainingDivergedError):
+        with np.errstate(over="ignore", invalid="ignore"):
+            train(cfg, "dsm", RING.points.copy(), RING, SCHEDULE,
+                  steps=10, batch_size=8, lr=1e154, seed=0)
+    assert getattr(mlp._workspaces, "ws", None) is None
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="counts minor page faults as Linux reports them")
+def test_training_steps_do_not_fault_pages_in(monkeypatch):
+    # a count, not a timing: allocating the 512 KiB activations afresh every
+    # step cost ~225 minor faults a step; reused, they cost none
+    import resource
+
+    config, data, manifold, schedule, batch = benchmark_shaped_run("ring_relu128_batch512")
+    faults = []
+
+    def counted(*args, _real=mlp.adam_step):
+        out = _real(*args)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt)
+        return out
+
+    monkeypatch.setattr(mlp, "adam_step", counted)
+    train(config, "mad", data, manifold, schedule, steps=55, batch_size=batch, lr=2e-3, seed=2)
+    per_step = (faults[54] - faults[4]) / 50
+    assert per_step < 20, f"{per_step} minor faults per training step"
 
 
 # Row counts around the 512-row block: one row, a block and a row either side,
