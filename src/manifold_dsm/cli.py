@@ -127,7 +127,7 @@ def _checked(section: str, make, *args, **kwargs):
     of the section."""
     try:
         return make(*args, **kwargs)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -151,11 +151,10 @@ def from_dict(cls, cfg: dict, section: str, **overrides):
         want = _JSON_TYPES[types[key]]
         if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
             raise ConfigError(f"{section}: {key} must be {types[key]}, got {value!r}")
-        if types[key] == "float":
-            value = _checked(section, float, value)
-            if not np.isfinite(value):
-                raise ConfigError(f"{section}: {key} must be finite, got {value}")
-        kwargs[key] = value
+        # nan, inf and an int past the float range all fail `<=`
+        if types[key] == "float" and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{section}: {key} must be finite, got {value!r}")
+        kwargs[key] = float(value) if types[key] == "float" else value
     return _checked(section, cls, **{**kwargs, **overrides})
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,9 @@ def _number(value) -> float:
     # float() would also take the JSON strings "20" and booleans
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"components entries must be numbers, got {value!r}")
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"components entries must be finite, got {value}")
-    return value
+    if not abs(value) <= sys.float_info.max:  # nan, inf, or an int past the float range all fail
+        raise ValueError(f"components entries must be finite, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)

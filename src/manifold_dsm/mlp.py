@@ -28,12 +28,13 @@ training batch, is one block.
 per (layer shapes, rows, activation, branch count): each branch's input,
 matmul outputs and silu sigmoids and activations, and the upstream gradients,
 weight-gradient products and relu mask or silu derivative the branches share.
-A batch-512 hidden array is 512 KiB, which glibc maps and page-faults afresh
-on every allocation.  Gradients stay fresh zeroed arrays that each branch
-adds into, so nothing returned aliases the workspace.  Adam is the standard
-bias-corrected update, applied in place to the parameter and moment arrays.
-The final layer initializes to zero so a fresh mad model starts exactly at
-the base score.
+A batch-512 hidden array is 512 KiB; allocated afresh, its pages fault back
+in on every step whenever glibc has handed them back to the kernel (~225
+minor faults per step in a plain `mdsm train`).  Gradients stay fresh zeroed
+arrays that each branch adds into, so nothing returned aliases the workspace.
+Adam is the standard bias-corrected update, applied in place to the parameter
+and moment arrays.  The final layer initializes to zero so a fresh mad model
+starts exactly at the base score.
 
 Checkpoints are a small versioned binary container: magic, version, a JSON
 header (config, layer shapes, caller extras), the raw little-endian float64
@@ -270,7 +271,7 @@ def _workspace(config: MlpConfig, n: int, branches: int) -> SimpleNamespace:
             sgs=[new(hidden) if silu else None for _ in zs],
             acts=[new(hidden) if silu else z[:-1] for z in zs],
             ups=new([(n, fan_in) for fan_in, _ in shapes[1:]]), prods=new(shapes),
-            deriv=np.empty((n, config.hidden_dim), np.float64 if silu else bool),
+            deriv=np.empty((n, config.hidden_dim)),
         )
     return ws
 

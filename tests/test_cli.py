@@ -262,7 +262,7 @@ def test_train_reruns_from_its_own_record(tmp_path):
         ("schedule", {"sigma_max": float("inf")}, "schedule: sigma_max must be finite, got inf"),
         ("schedule", {"sigma_min": -float("inf")}, "schedule: sigma_min must be finite, got -inf"),
         ("dataset", {"decay": float("inf")}, "dataset: decay must be finite, got inf"),
-        ("training", {"lr": 10**400}, "training: int too large to convert to float"),
+        ("training", {"lr": 10**400}, f"training: lr must be finite, got {10**400}"),
         # an infinite kappa once sent vMF sampling into a rejection loop that never ends
         ("dataset", {"kind": "vmf_mixture", "components": [[[0, 0, 1], float("inf"), 1]]},
          "dataset: components entries must be finite, got inf"),
@@ -271,7 +271,7 @@ def test_train_reruns_from_its_own_record(tmp_path):
         ("dataset", {"kind": "vmf_mixture", "components": [[[0, 0, 1], 20, float("inf")]]},
          "dataset: components entries must be finite, got inf"),
         ("dataset", {"kind": "vmf_mixture", "components": [[[0, 0, 1], 10**400, 1]]},
-         "dataset: int too large to convert to float"),
+         f"dataset: components entries must be finite, got {10**400}"),
     ],
 )
 def test_train_rejects_bad_config_values(tmp_path, capsys, time_limit, section, value, message):
