@@ -6,11 +6,14 @@ integers >= 0 and half-integers >= -1/2.  The evaluation strategy per order:
 * nu = +-1/2: closed forms I_{1/2} = sqrt(2/(pi x)) sinh x and
   I_{-1/2} = sqrt(2/(pi x)) cosh x (DLMF 10.47), written against expm1 so the
   scaled variants stay fully accurate at small x.
-* nu = 0, 1: ascending power series below the crossover argument, the large-x
-  asymptotic expansion (DLMF 10.40.1) above it.
-* remaining orders: the three-term recurrence run in its numerically stable
-  downward direction, i.e. ratios I_{k+1}/I_k from the Gauss continued
-  fraction chained up from the order-0/1 or order-1/2 base value.  The upward
+* nu = 0, 1: both orders at once, as one fixed-length Chebyshev sum per
+  argument, on [0, 8] in x and beyond 8 in 1/x, as in Cephes `i0e`/`i1e`
+  (Moshier, "Methods and Programs for Mathematical Functions", 1989).  The
+  coefficients come from tools/gen_bessel_i01.py.
+* remaining orders: the large-x asymptotic expansion (DLMF 10.40.1) where it
+  converges fast, otherwise the three-term recurrence run in its numerically
+  stable downward direction, i.e. ratios I_{k+1}/I_k from the Gauss continued
+  fraction chained up from the order-1 or order-1/2 base value.  The upward
   recurrence subtracts nearly equal terms and is avoided.
 
 Everything is evaluated in scaled form e^{-x} I_nu(x) internally; the unscaled
@@ -30,12 +33,65 @@ import numpy as np
 
 __all__ = ["BesselOrder", "bessel_i", "bessel_i_scaled", "bessel_ratio_i0_i1"]
 
-# Series/asymptotic crossover for integer orders: both sides reach <= 1e-12
-# relative error here for orders 0 and 1.
+# Orders >= 2 use the asymptotic expansion from this argument on (where it
+# also needs 4 nu^2 <= x); it reaches <= 1e-12 relative error there.
 _CROSSOVER = 15.0
 # Stop summing once a term drops below this fraction of the partial sum.
 _TAIL = 1e-17
 _LOG_DBL_MAX = math.log(np.finfo(np.float64).max)
+
+# Chebyshev series, highest degree first, written by tools/gen_bessel_i01.py:
+# (1 + x) e^{-x} I_nu(x) / x^nu on [0, 8] in t = x/4 - 1 (SMALL) and
+# sqrt(x) e^{-x} I_nu(x) on [8, inf) in t = 16/x - 1 (LARGE).
+_I0_SMALL = (
+    4.567301774543236e-17, -3.285469266614377e-16, 2.2817585382127336e-15,
+    -1.527996529752083e-14, 9.852782815324172e-14, -6.10850747448126e-13,
+    3.635405644675414e-12, -2.0732551869805302e-11, 1.1308497146164624e-10,
+    -5.887051943872218e-10, 2.9182658292546064e-09, -1.3739340696640081e-08,
+    6.125829740089075e-08, -2.5780951986075134e-07, 1.0203180517207398e-06,
+    -3.780697792105105e-06, 1.3047979427404248e-05, -4.167513656491509e-05,
+    0.00012219291582903592, -0.00032532062379959855, 0.000774079131381443,
+    -0.0016039930544716377, 0.0027503220478197884, -0.003391147628925098,
+    0.0010164152390340696, 0.009249397490459317, -0.032653113716479255,
+    0.05893696882855179, 0.17341899014737772, 2.1652456826745867,
+)
+_I1_SMALL = (
+    3.872623394384126e-18, -2.9047170077866515e-17, 2.1071115905485388e-16,
+    -1.4766063408898357e-15, 9.984110242341122e-15, -6.505148251635197e-14,
+    4.078507665421902e-13, -2.4568958226516582e-12, 1.41972592821462e-11,
+    -7.855681177111594e-11, 4.154159427331038e-10, -2.0949741571396406e-09,
+    1.0051944070687821e-08, -4.576799514689336e-08, 1.9716906904360218e-07,
+    -8.009978587389498e-07, 3.056801434638057e-06, -1.090881482432957e-05,
+    3.620598648707926e-05, -0.00011098970358636966, 0.0003113991353586689,
+    -0.0007892367520714209, 0.0017695555478066621, -0.003373199968950462,
+    0.004945319476747819, -0.003387887052309795, -0.009989690599527732,
+    0.054493294317377386, -0.17162090152220877, 0.5572698587868321,
+)
+_I0_LARGE = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
+_I1_LARGE = (
+    7.517296310842105e-18, 4.414348323071708e-18, -4.6503053684893586e-17,
+    -3.209525921993424e-17, 2.96262899764595e-16, 3.3082023109209285e-16,
+    -1.8803547755107825e-15, -3.8144030724370075e-15, 1.0420276984128802e-14,
+    4.272440016711951e-14, -2.1015418427726643e-14, -4.0835511110921974e-13,
+    -7.198551776245908e-13, 2.0356285441470896e-12, 1.4125807436613782e-11,
+    3.2526035830154884e-11, -1.8974958123505413e-11, -5.589743462196584e-10,
+    -3.835380385964237e-09, -2.6314688468895196e-08, -2.512236237870209e-07,
+    -3.882564808877691e-06, -0.00011058893876262371, -0.009761097491361469,
+    0.7785762350182801,
+)
+# (K, 2, 1): row k holds the degree-k coefficients of orders 0 and 1
+_SMALL = np.array([_I0_SMALL, _I1_SMALL]).T[:, :, None]
+_LARGE = np.array([_I0_LARGE, _I1_LARGE]).T[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -58,20 +114,6 @@ def _as_order(nu) -> float:
     if isinstance(nu, BesselOrder):
         return nu.nu
     return BesselOrder(float(nu)).nu
-
-
-def _series_ie(nu: float, x: np.ndarray) -> np.ndarray:
-    # (x/2)^nu sum_k (x^2/4)^k / (k! (k+nu)!) for nu = 0 or 1, then scale by
-    # e^{-x}; all terms positive.
-    q = 0.25 * x * x
-    term = 0.5 * x if nu else np.ones_like(x)
-    total = term.copy()
-    k = 1
-    while np.any(term > _TAIL * total):
-        term = term * q / (k * (k + nu))
-        total = total + term
-        k += 1
-    return total * np.exp(-x)
 
 
 def _asym_ie(nu: float, x: np.ndarray) -> np.ndarray:
@@ -116,6 +158,53 @@ def _ratio_cf(nu: float, x: np.ndarray) -> np.ndarray:
     raise RuntimeError("Bessel ratio continued fraction failed to converge")
 
 
+def _chebyshev(t: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # Clenshaw's recurrence b_k = c_k + 2t b_{k+1} - b_{k+2} for both orders
+    # at once, in three rotating buffers; the sum is (b_0 - b_2) / 2.
+    t2 = np.empty((2, t.size))
+    np.multiply(t, 2.0, out=t2)
+    b0 = np.zeros_like(t2)
+    b1 = np.zeros_like(t2)
+    b2 = np.empty_like(t2)
+    for c in table:
+        b0, b1, b2 = b2, b0, b1
+        np.multiply(t2, b1, out=b0)
+        b0 -= b2
+        b0 += c
+    b0 -= b2
+    b0 *= 0.5
+    return b0
+
+
+def _ie01_small(x: np.ndarray) -> np.ndarray:
+    # 0 < x <= 8
+    s = _chebyshev(0.25 * x - 1.0, _SMALL)
+    s /= 1.0 + x
+    s[1] *= x
+    return s
+
+
+def _ie01_large(x: np.ndarray) -> np.ndarray:
+    # x >= 8
+    s = _chebyshev(16.0 / x - 1.0, _LARGE)
+    s /= np.sqrt(x)
+    return s
+
+
+def _ie01(x: np.ndarray) -> np.ndarray:
+    """Rows e^{-x} I_0(x) and e^{-x} I_1(x) for 1-D x > 0.  Each element takes a
+    fixed sequence of operations, so its bytes do not depend on its batch."""
+    small = x <= 8.0
+    if small.all():
+        return _ie01_small(x)
+    if not small.any():
+        return _ie01_large(x)
+    out = np.empty((2, x.size))
+    out[:, small] = _ie01_small(x[small])
+    out[:, ~small] = _ie01_large(x[~small])
+    return out
+
+
 def _ihalf_e(x: np.ndarray) -> np.ndarray:
     # e^{-x} sqrt(2/(pi x)) sinh x = -expm1(-2x) / sqrt(2 pi x)
     return -np.expm1(-2.0 * x) / np.sqrt(2.0 * np.pi * x)
@@ -129,13 +218,7 @@ def _imhalf_e(x: np.ndarray) -> np.ndarray:
 def _ie_positive(nu: float, x: np.ndarray) -> np.ndarray:
     """Scaled e^{-x} I_nu(x) for strictly positive x."""
     if nu in (0.0, 1.0):
-        out = np.empty_like(x)
-        lo = x < _CROSSOVER
-        if lo.any():
-            out[lo] = _series_ie(nu, x[lo])
-        if (~lo).any():
-            out[~lo] = _asym_ie(nu, x[~lo])
-        return out
+        return _ie01(x)[int(nu)]
     if nu == 0.5:
         return _ihalf_e(x)
     if nu == -0.5:
@@ -221,5 +304,5 @@ def bessel_ratio_i0_i1(x):
     arr = np.asarray(x, dtype=np.float64)
     if np.any(arr <= 0.0):
         raise ValueError("bessel_ratio_i0_i1 requires x > 0")
-    out = _ie_positive(0.0, arr) / _ie_positive(1.0, arr)
-    return _match_shape(out, x)
+    ie = _ie01(arr.ravel())
+    return _match_shape((ie[0] / ie[1]).reshape(arr.shape), x)

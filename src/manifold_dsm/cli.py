@@ -339,6 +339,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    for flag, value in (("--decay", args.decay), ("--bandwidth", args.bandwidth)):
+        if value is not None and not 0.0 < value < np.inf:
+            raise ConfigError(f"{flag} must be positive and finite, got {value!r}")
     samples = _read_samples_csv(args.samples)
     try:
         if args.metric == "mmd":
@@ -359,7 +362,10 @@ def cmd_eval(args) -> int:
             q_gt = np.array([float(v) for v in args.q_gt.split(",")])
             if q_gt.shape != (4,):
                 raise ValueError("--q-gt must be four comma-separated numbers")
-            report = spread(samples, q_gt / np.linalg.norm(q_gt), group)
+            norm = np.linalg.norm(q_gt)
+            if not 0.0 < norm < np.inf:
+                raise ValueError(f"--q-gt must be finite and nonzero, got {args.q_gt}")
+            report = spread(samples, q_gt / norm, group)
     except ValueError as exc:  # a ConfigError from reading --reference keeps its message
         raise ConfigError(str(exc)) from exc
     out = _ensure_out(args.out, None)
@@ -399,7 +405,7 @@ def cmd_oracle_check(args) -> int:
                     rng=np.random.default_rng(seed),
                 )
             except UnreliableEstimateError:
-                print(f"{r:6.2f} {sig:6.2f} {'-':>10} {'-':>11}  INCONCLUSIVE")
+                print(f"{r:6g} {sig:6g} {'-':>10} {'-':>11}  INCONCLUSIVE")
                 continue
             dev = np.abs(closed - est.score)
             ratio = float(np.max(dev / np.maximum(4.0 * est.std_error, 1e-300)))
@@ -407,7 +413,7 @@ def cmd_oracle_check(args) -> int:
             rel = float(np.max(dev)) / scale if scale > 0 else float(np.max(dev))
             ok = ratio <= 1.0
             failed += 0 if ok else 1
-            print(f"{r:6.2f} {sig:6.2f} {rel:10.2e} {4.0 * ratio:11.2f}  "
+            print(f"{r:6g} {sig:6g} {rel:10.2e} {4.0 * ratio:11.2f}  "
                   f"{'PASS' if ok else 'FAIL'}")
     if failed:
         print(f"{failed} cell(s) exceeded 4 oracle standard errors", file=sys.stderr)

@@ -109,8 +109,8 @@ def skewed_pmf(n_coords: int, decay: float = 0.8) -> np.ndarray:
     """exp(-decay * circular distance to floor(n/4)), normalized."""
     if n_coords < 2:
         raise ValueError("n_coords must be >= 2")
-    if decay <= 0.0:
-        raise ValueError("decay must be positive")
+    if not 0.0 < decay < np.inf:
+        raise ValueError("decay must be positive and finite")
     i_peak = n_coords // 4
     off = np.abs(np.arange(n_coords) - i_peak)
     d = np.minimum(off, n_coords - off)

@@ -125,8 +125,8 @@ def mmd(x_batch, y_batch, bandwidth: float | None = None) -> MetricReport:
             h = 1.0  # all pooled points coincide; any kernel width gives MMD 0
     else:
         h = float(bandwidth)
-        if h <= 0.0:
-            raise ValueError("bandwidth must be positive")
+        if not 0.0 < h < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
     m, n = x.shape[0], y.shape[0]
     s_xx = _kernel_sum(x, x, h) - m  # drop the diagonal (k(x,x) = 1)
     s_yy = _kernel_sum(y, y, h) - n

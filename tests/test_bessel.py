@@ -1,11 +1,14 @@
 """Bessel function tests against an independent extended-precision series oracle."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from manifold_dsm import bessel
 from manifold_dsm.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_ratio_i0_i1
 
 mp.mp.dps = 50
@@ -158,13 +161,53 @@ def test_scaled_finite_for_huge_arguments():
     assert bessel_i_scaled(3, 40.0) == pytest.approx(IE3_AT_40, rel=1e-12)
 
 
-def test_series_asymptotic_crossover():
-    # Both evaluation branches agree at the handoff argument itself.
-    from manifold_dsm.bessel import _asym_ie, _series_ie
+def test_chebyshev_pieces_agree_at_split():
+    # x = 8 ends the series in x and starts the series in 1/x; orders 0 and 1
+    # must come out the same from both.
+    x = np.array([8.0])
+    np.testing.assert_allclose(bessel._ie01_small(x), bessel._ie01_large(x), rtol=2e-15, atol=0)
 
-    x = np.array([15.0])
-    assert _series_ie(0.0, x)[0] == pytest.approx(_asym_ie(0.0, x)[0], rel=1e-12)
-    assert _series_ie(1.0, x)[0] == pytest.approx(_asym_ie(1.0, x)[0], rel=1e-12)
+
+@pytest.mark.parametrize("nu, xs", [(2.0, [15.0, 16.0, 25.0, 1e3, 1e7]),
+                                    (3.0, [36.0, 50.0, 1e4])])
+def test_asymptotic_expansion_for_higher_orders(nu, xs):
+    # orders >= 2 still take the asymptotic expansion from x = 15 on
+    got = bessel._asym_ie(nu, np.array(xs))
+    for g, x in zip(got, xs):
+        want = mp.besseli(nu, x) * mp.exp(-x)
+        assert abs(g / want - 1) < 1e-12, (nu, x)
+
+
+def load_generator():
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_bessel_i01.py"
+    spec = importlib.util.spec_from_file_location("gen_bessel_i01", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_committed_tables_match_generator():
+    gen = load_generator()
+    tables = gen.tables()
+    assert gen.render(tables) in Path(bessel.__file__).read_text()
+    for name, coef in tables.items():
+        assert getattr(bessel, name) == coef, name
+
+
+def test_orders_zero_one_and_ratio_match_mpmath():
+    xs = np.unique(np.concatenate([
+        np.geomspace(1e-300, 1e10, 621),
+        np.linspace(0.05, 40.0, 400),
+        np.linspace(7.9, 8.1, 201),
+        np.linspace(14.5, 15.5, 201),
+    ]))
+    got = np.stack([bessel_i_scaled(0, xs), bessel_i_scaled(1, xs), bessel_ratio_i0_i1(xs)])
+    for i, x in enumerate(xs):
+        xm = mp.mpf(float(x))
+        ie0 = mp.besseli(0, xm) * mp.exp(-xm)
+        ie1 = mp.besseli(1, xm) * mp.exp(-xm)
+        for g, want in zip(got[:, i], (ie0, ie1, ie0 / ie1)):
+            assert abs(g / want - 1) <= 2e-15, (x, g, want)
 
 
 def test_ratio_i0_i1():
@@ -183,10 +226,31 @@ def test_log_domain_half_order_example():
     assert bessel_i_scaled(0.5, 50.0) == pytest.approx(want, rel=1e-13)
 
 
+ORDER_0_1_AND_RATIO = (
+    lambda x: bessel_i_scaled(0, x),
+    lambda x: bessel_i_scaled(1, x),
+    bessel_ratio_i0_i1,
+)
+
+
 def test_array_and_scalar_shapes():
     xs = np.geomspace(0.1, 20, 7)
-    out = bessel_i_scaled(1.0, xs)
-    assert isinstance(out, np.ndarray) and out.shape == xs.shape
-    assert isinstance(bessel_i_scaled(1.0, 2.0), float)
-    singles = np.array([bessel_i_scaled(1.0, float(x)) for x in xs])
-    np.testing.assert_allclose(out, singles, rtol=1e-15)
+    for fn in ORDER_0_1_AND_RATIO:
+        out = fn(xs)
+        assert isinstance(out, np.ndarray) and out.shape == xs.shape
+        assert isinstance(fn(2.0), float)
+        singles = np.array([fn(float(x)) for x in xs])
+        assert out.tobytes() == singles.tobytes()
+        assert fn(xs.reshape(7, 1)).tobytes() == out.tobytes()
+
+
+def test_values_do_not_depend_on_the_batch():
+    # 3 and 8 sit in the all-small and mixed batches, 8 and 40 in the
+    # all-large and mixed ones; every element must equal its lone evaluation
+    small = np.array([1e-300, 1e-3, 0.5, 3.0, 7.999, 8.0])
+    large = np.array([8.0, 8.001, 15.0, 40.0, 1e3, 1e8])
+    mixed = np.array([40.0, 3.0, 1e3, 8.0, 0.5, 15.0, 1e-3])
+    for fn in ORDER_0_1_AND_RATIO:
+        for batch in (small, large, mixed):
+            singles = np.array([fn(float(x)) for x in batch])
+            assert fn(batch).tobytes() == singles.tobytes(), batch

@@ -529,6 +529,39 @@ def test_eval_spread_rejects_bad_quaternion(tmp_path, capsys):
     assert "four" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["tv", "--kind", "discrete_skewed", "--decay", "nan"],
+         "--decay must be positive and finite, got nan"),
+        (["tv", "--kind", "discrete_skewed", "--decay", "inf"],
+         "--decay must be positive and finite, got inf"),
+        (["tv", "--kind", "discrete_skewed", "--decay", "0"],
+         "--decay must be positive and finite, got 0.0"),
+        (["mmd", "--bandwidth", "inf"], "--bandwidth must be positive and finite, got inf"),
+        (["mmd", "--bandwidth", "nan"], "--bandwidth must be positive and finite, got nan"),
+        (["mmd", "--bandwidth", "-1"], "--bandwidth must be positive and finite, got -1.0"),
+        (["spread", "--group", "octahedral", "--q-gt", "0,0,0,0"],
+         "--q-gt must be finite and nonzero, got 0,0,0,0"),
+        (["spread", "--group", "octahedral", "--q-gt", "nan,0,0,1"],
+         "--q-gt must be finite and nonzero, got nan,0,0,1"),
+        (["spread", "--group", "octahedral", "--q-gt", "1,inf,0,0"],
+         "--q-gt must be finite and nonzero, got 1,inf,0,0"),
+    ],
+)
+def test_eval_rejects_degenerate_numeric_flags(tmp_path, capsys, flags, message):
+    path = tmp_path / "x.csv"
+    write_samples(path, np.eye(4))
+    rc = main(["eval", flags[0], "--samples", str(path), "--reference", str(path),
+               *flags[1:], "--out", str(tmp_path / "m")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+    assert not (tmp_path / "m" / "metrics.log").exists()
+
+
 @pytest.mark.parametrize("header_width, row_width", [(2, 3), (3, 2)])
 def test_eval_rejects_rows_unlike_the_header(tmp_path, capsys, header_width, row_width):
     path = tmp_path / "samples.csv"
@@ -604,6 +637,16 @@ def test_oracle_check_high_order_sphere(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "nan" not in out
+
+
+def test_oracle_check_prints_small_sigma(capsys):
+    # the smallest sigma is where the S^3 Bessel argument is largest; the
+    # table must not round it to 0.00
+    rc = main(["oracle-check", "--manifold", "sphere", "--n", "3", "--radii", "1.5",
+               "--sigmas", "0.001", "--n-mc", "2000", "--seed", "1"])
+    assert rc == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].split()[:2] == ["1.5", "0.001"]
 
 
 def test_oracle_check_rejects_nonpositive_grid(capsys):

@@ -64,8 +64,9 @@ def test_skewed_pmf_matches_formula():
     d = np.minimum(np.abs(np.arange(8) - 2), 8 - np.abs(np.arange(8) - 2))
     w = np.exp(-0.8 * d)
     np.testing.assert_allclose(pmf, w / w.sum(), rtol=1e-15)
-    with pytest.raises(ValueError):
-        skewed_pmf(8, decay=0.0)
+    for bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="decay must be positive and finite"):
+            skewed_pmf(8, decay=bad)
 
 
 def test_sample_discrete_point_mass():

@@ -84,8 +84,9 @@ def test_mmd_bandwidth_override_and_validation():
         mmd(np.empty((0, 2)), y)
     with pytest.raises(ValueError):
         mmd(x[:1], y)
-    with pytest.raises(ValueError):
-        mmd(x, y, bandwidth=0.0)
+    for bad in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            mmd(x, y, bandwidth=bad)
 
 
 def test_mmd_degenerate_pool():
