@@ -5,8 +5,10 @@ of the noised marginal is (E[x0|x_t] - x_t)/sigma^2.  When mu is the uniform
 measure on M this posterior mean has a closed form for every support handled
 here, and the resulting "base score" carries all of the support's geometry:
 
-* discrete point sets: softmax-weighted mean of the points, weights
-  exp(-||x - u_i||^2 / (2 sigma^2)), evaluated with log-sum-exp;
+* discrete point sets: softmax-weighted mean of the points u_i, with logits
+  ((u_i - c).(x - c) - ||u_i - c||^2 / 2) / sigma^2 about the centroid c (the
+  same softmax as -||x - u_i||^2 / (2 sigma^2)), from one GEMM; each logit
+  rounds by about eps (||x - c|| R + R^2) / sigma^2 with R = max ||u_i - c||;
 * the n-sphere: a radial field whose magnitude is a ratio of modified Bessel
   functions of orders (n-3)/2, (n-1)/2, (n+1)/2 at z = ||x||/sigma^2;
 * S^2: the Bessel ratio collapses to coth(z), no special functions needed;
@@ -35,7 +37,6 @@ import numpy as np
 from .bessel import _ratio_cf, bessel_i_scaled, bessel_ratio_i0_i1
 from .errors import DegenerateInputError, UnreliableEstimateError
 from .geometry import DiscreteSet, Manifold, Sphere
-from .rowblocks import map_shards, row_blocks
 
 __all__ = [
     "posterior_mean_discrete",
@@ -66,8 +67,8 @@ def _check_xy_sigma(x, sigma, dim: int):
     if x.shape[-1] != dim:
         raise ValueError(f"query dimension {x.shape[-1]} does not match support {dim}")
     sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0.0):
-        raise ValueError("sigma must be positive")
+    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+        raise ValueError("sigma must be positive and finite")
     return x, sigma
 
 
@@ -91,30 +92,25 @@ def _sphere_args(x, sigma, dim: int):
 def _softmax_weights(x, sigma, points, log_probs=None) -> np.ndarray:
     """Posterior weights over support points for queries x, shape (..., N).
 
-    Filled in row blocks (see rowblocks), so the (rows, N, d) difference
-    tensor stays one block in size.
+    With c the support's centroid, the logits -||x - u||^2 / (2 sigma^2) less
+    their common part -||x - c||^2 / (2 sigma^2) are ((u - c).(x - c) -
+    ||u - c||^2 / 2) / sigma^2: one GEMM into an (N, rows) array, whose max and
+    sum over the N points are elementwise passes over contiguous rows.
+    Centering keeps a logit's rounding near eps (||x - c|| R + R^2) / sigma^2,
+    R = max ||u - c||, wherever the support sits.
     """
-    n_pts, dim = points.shape
-    xs = x.reshape(-1, dim)
-    sig = np.reshape(sigma, -1)
-    out = np.empty((xs.shape[0], n_pts))
-
-    def shard(blocks):
-        diff = np.empty((max(stop - start for start, stop in blocks), n_pts, dim))
-        for start, stop in blocks:
-            d = np.subtract(xs[start:stop, None, :], points, out=diff[: stop - start])
-            np.multiply(d, d, out=d)
-            expo = np.sum(d, axis=-1, out=out[start:stop])
-            np.negative(expo, out=expo)
-            expo /= 2.0 * sig[start:stop, None] ** 2
-            if log_probs is not None:
-                expo += log_probs
-            expo -= np.max(expo, axis=-1, keepdims=True)
-            np.exp(expo, out=expo)
-            expo /= np.sum(expo, axis=-1, keepdims=True)
-
-    map_shards(shard, row_blocks(xs.shape[0]))
-    return out.reshape(x.shape[:-1] + (n_pts,))
+    dim = points.shape[1]
+    c = points.mean(axis=0)
+    u = points - c
+    logits = u @ (x.reshape(-1, dim) - c).T
+    logits -= 0.5 * np.sum(u * u, axis=1)[:, None]
+    logits /= np.broadcast_to(sigma, x.shape[:-1]).reshape(-1) ** 2
+    if log_probs is not None:
+        logits += log_probs[:, None]
+    logits -= logits.max(axis=0)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=0)
+    return logits.T.reshape(x.shape[:-1] + (points.shape[0],))
 
 
 def _score_from_mean(mean, x, sigma) -> np.ndarray:
@@ -128,8 +124,7 @@ def posterior_mean_discrete(x, sigma, support) -> np.ndarray:
     """E[x0 | x] for the uniform measure on a discrete support."""
     points = _points_of(support)
     x, sigma = _check_xy_sigma(x, sigma, points.shape[1])
-    w = _softmax_weights(x, np.broadcast_to(sigma, x.shape[:-1]), points)
-    return w @ points
+    return _softmax_weights(x, sigma, points) @ points
 
 
 def base_score_discrete(x, sigma, support) -> np.ndarray:
@@ -154,9 +149,7 @@ def exact_score_discrete(x, sigma, points, probs) -> np.ndarray:
     if abs(probs.sum() - 1.0) > 1e-9:
         raise ValueError("probs must sum to 1")
     x, sigma = _check_xy_sigma(x, sigma, points.shape[1])
-    w = _softmax_weights(
-        x, np.broadcast_to(sigma, x.shape[:-1]), points, log_probs=np.log(probs)
-    )
+    w = _softmax_weights(x, sigma, points, log_probs=np.log(probs))
     return _score_from_mean(w @ points, x, sigma)
 
 

@@ -300,9 +300,10 @@ def bessel_i(nu, x):
 
 
 def bessel_ratio_i0_i1(x):
-    """The ratio I_0(x)/I_1(x), finite for all x > 0 and decreasing toward 1."""
+    """I_0(x)/I_1(x), decreasing toward 1, for x at or above the smallest normal
+    double; below it the ratio (~2/x) overflows, so such x raise ValueError."""
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr <= 0.0):
-        raise ValueError("bessel_ratio_i0_i1 requires x > 0")
+    if np.any(arr < np.finfo(np.float64).tiny):
+        raise ValueError("bessel_ratio_i0_i1 requires x >= the smallest normal double, 2.2e-308")
     ie = _ie01(arr.ravel())
     return _match_shape((ie[0] / ie[1]).reshape(arr.shape), x)

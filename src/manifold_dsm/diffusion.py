@@ -81,8 +81,8 @@ def perturb(x0, sigma, rng: np.random.Generator) -> np.ndarray:
     """x0 + sigma * eps with standard normal eps; sigma = 0 returns x0 exactly."""
     x0 = np.asarray(x0, dtype=np.float64)
     sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma < 0.0):
-        raise ValueError("sigma must be nonnegative")
+    if not np.all(np.isfinite(sigma) & (sigma >= 0.0)):
+        raise ValueError("sigma must be nonnegative and finite")
     eps = rng.standard_normal(x0.shape)
     return x0 + sigma[..., None] * eps if sigma.ndim else x0 + sigma * eps
 
@@ -94,8 +94,8 @@ def _residual(x0, xt, sigma):
     if x0.shape != xt.shape:
         raise ValueError("x0 and xt shapes must match")
     sigma = np.asarray(sigma, dtype=np.float64)
-    if np.any(sigma <= 0.0):
-        raise ValueError("sigma must be positive")
+    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
+        raise ValueError("sigma must be positive and finite")
     sig = sigma[..., None] if sigma.ndim else sigma
     return xt, sigma, sig, (x0 - xt) / sig
 
@@ -127,10 +127,10 @@ def reverse_sample(
                + sqrt(s_i^2 - s_{i+1}^2) eps.
 
     Noise is drawn as one (n, dim) block per step in sample order, and
-    score_field sees the whole batch once per step; the network and the
-    discrete base score split that batch into row blocks across CPUs inside
-    the call, with bytes equal to one full-batch pass.  Returns the (n, dim)
-    final state.
+    score_field sees the whole batch once per step; the network splits that
+    batch into row blocks across CPUs inside the call, with bytes equal to one
+    full-batch pass, while the base score takes it whole on the calling
+    thread.  Returns the (n, dim) final state.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

@@ -16,7 +16,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from manifold_dsm import rowblocks
 from manifold_dsm.basescore import (
     OracleEstimate,
     base_score,
@@ -184,6 +183,26 @@ def test_validation_errors():
         base_score_discrete(np.array([1.0, 0.0, 0.0]), 0.5, OCTAGON)
 
 
+NON_FINITE_SIGMA_CASES = {
+    "discrete": (lambda x, s: base_score_discrete(x, s, OCTAGON), QUERY),
+    "discrete_mean": (lambda x, s: posterior_mean_discrete(x, s, OCTAGON), QUERY),
+    "discrete_exact": (lambda x, s: exact_score_discrete(x, s, OCTAGON, SKEWED), QUERY),
+    "s2": (base_score_s2, np.array([0.1, -0.4, 0.9])),
+    "s3": (base_score_s3, np.array([0.9, 0.1, -0.2, 0.3])),
+    "s5": (lambda x, s: base_score_nsphere(x, s, 5), np.array([1.1, 0.0, 0.2, 0.0, 0.0, 0.1])),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_SIGMA_CASES))
+def test_scores_reject_non_finite_sigma(case, bad):
+    fn, x = NON_FINITE_SIGMA_CASES[case]
+    with np.errstate(all="raise"):
+        for xs, sigma in ((x, bad), (np.stack([x, x]), np.array([0.5, bad]))):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                fn(xs, sigma)
+
+
 def test_tiny_sigma_stays_finite_and_restoring():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((50, 4))
@@ -199,7 +218,7 @@ def test_tiny_sigma_stays_finite_and_restoring():
 
 
 def ref_softmax_weights(x, sigma, points, log_probs=None):
-    """The allocating posterior weights the in-place version replaced."""
+    """Posterior weights in the difference form -||x - u||^2 / (2 sigma^2)."""
     diff = x[..., None, :] - points
     expo = -np.sum(diff * diff, axis=-1) / (2.0 * sigma[..., None] ** 2)
     if log_probs is not None:
@@ -214,39 +233,116 @@ def ref_discrete_score(x, sigma, points, log_probs=None):
     return (w @ points - x) / np.asarray(sigma)[..., None] ** 2
 
 
-@pytest.mark.parametrize(
-    "rows,per_row_sigma",
-    [(None, False), (1, False), (1, True), (7, False), (7, True), (512, False), (512, True)],
-)
-def test_discrete_scores_match_reference_bitwise(rows, per_row_sigma):
-    rng = np.random.default_rng(50)
-    x = rng.standard_normal(2 if rows is None else (rows, 2))
-    sig = np.exp(rng.uniform(-7.0, 1.0, rows)) if per_row_sigma else 0.05
-    cases = [
-        (base_score_discrete(x, sig, OCTAGON), ref_discrete_score(x, sig, OCTAGON)),
-        (exact_score_discrete(x, sig, OCTAGON, SKEWED),
-         ref_discrete_score(x, sig, OCTAGON, np.log(SKEWED))),
-    ]
-    for got, want in cases:
-        assert got.shape == want.shape
-        assert np.array_equal(got, want)
-        assert got.tobytes() == want.tobytes()
+# Rounding bound for the discrete scores, per query row.  The logits are
+# ((u - c).(x - c) - ||u - c||^2 / 2) / sigma^2 + log p with c the support's
+# centroid and R = max ||u - c||, so each carries an error of about
+#     delta = eps ((||x - c|| R + R^2) / sigma^2 + max |log p|).
+# Softmax weights move by at most ~2 delta relative, which moves the posterior
+# mean by ~2 delta R (the weight errors sum to ~0, so only u - c counts), and
+# forming the mean and (mean - x) / sigma^2 adds eps (||x|| + max ||u||) of
+# ordinary rounding.  The score error is then at most
+#     DISCRETE_BOUND_C * (R delta + eps (||x|| + max ||u||)) / sigma^2.
+# Over the hard queries below the worst measured error is 0.65 of the bound
+# with C = 1 (0.78 for the difference form the logits replaced); C = 4 leaves
+# room for BLAS kernels that sum in another order.  Without the centering the
+# translated octagon reaches ~1e5 of the bound, and without log p ~1e12.
+DISCRETE_BOUND_C = 4.0
 
 
-@pytest.mark.parametrize("rows", [2, 511, 512, 513, 1025, 4096, 10000, 10001])
+def discrete_score_bound(x, sigma, points, log_probs=None):
+    eps = np.finfo(np.float64).eps
+    x = np.atleast_2d(x)
+    c = points.mean(axis=0)
+    radius = np.max(np.linalg.norm(points - c, axis=1))
+    lp = 0.0 if log_probs is None else np.max(np.abs(log_probs))
+    sig2 = np.broadcast_to(sigma, x.shape[:1]) ** 2
+    delta = eps * ((np.linalg.norm(x - c, axis=1) * radius + radius**2) / sig2 + lp)
+    plain = eps * (np.linalg.norm(x, axis=1) + np.max(np.linalg.norm(points, axis=1)))
+    return DISCRETE_BOUND_C * (radius * delta + plain) / sig2
+
+
+HARD_SIGMAS = (4.0, 0.5, 0.05, 1e-2, 1e-3, 1e-4)
+
+
+def hard_ring_queries(points):
+    """Queries near support points, near the bisector of two neighbours
+    (where the posterior is a coin flip at small sigma) and far out."""
+    c = points.mean(axis=0)
+    rows = []
+    for k in (0, 3, 6):
+        radial = (points[k] - c) / np.linalg.norm(points[k] - c)
+        tangent = np.array([-radial[1], radial[0]])
+        for off in (0.0, 1e-9, 1e-6, 1e-3, 0.05):
+            rows += [points[k] + off * radial, points[k] - off * tangent]
+    mid = (points[0] + points[1]) / 2.0 - c
+    mid /= np.linalg.norm(mid)
+    across = points[1] - points[0]
+    across /= np.linalg.norm(across)
+    for r in (0.9, 1.0, 1.1):
+        for off in (0.0, 1e-10, 1e-9, 1e-8, 1e-6, 1e-4):
+            rows.append(c + r * mid + off * across)
+    for ang in (0.0, np.pi / 8, 2.0, 4.0):
+        rows.append(c + 10.0 * np.array([np.cos(ang), np.sin(ang)]))
+    rows.append(c.copy())
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("probs", [None, SKEWED], ids=["uniform", "skewed"])
+@pytest.mark.parametrize("shift", [0.0, 1e3], ids=["octagon", "translated"])
+def test_discrete_scores_on_hard_queries_match_extended_precision(probs, shift):
+    pts = OCTAGON + shift
+    queries = hard_ring_queries(pts)
+    log_probs = None if probs is None else np.log(probs)
+
+    def score(x, sig):
+        if probs is None:
+            return base_score_discrete(x, sig, pts)
+        return exact_score_discrete(x, sig, pts, probs)
+
+    xs = np.repeat(queries, len(HARD_SIGMAS), axis=0)
+    sigs = np.tile(np.array(HARD_SIGMAS), len(queries))
+    per_row = score(xs, sigs)
+    scalar = np.concatenate([score(queries, s) for s in HARD_SIGMAS])
+    order = np.argsort(np.tile(np.arange(len(HARD_SIGMAS)), len(queries)), kind="stable")
+    want = np.array([mp_discrete_score(x, s, pts, probs) for x, s in zip(xs, sigs)])
+    bound = discrete_score_bound(xs, sigs, pts, log_probs)
+    for got, ref, tol in ((per_row, want, bound), (scalar, want[order], bound[order])):
+        err = np.max(np.abs(got - ref), axis=1)
+        assert np.all(np.isfinite(got))
+        assert np.all(err <= tol), np.max(err / tol)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 2, 7, 511, 512, 513, 1025, 4096, 10000, 10001])
 @pytest.mark.parametrize("per_row_sigma", [False, True])
-def test_blocked_discrete_scores_match_reference_bitwise(monkeypatch, rows, per_row_sigma):
+def test_discrete_scores_match_difference_form(rows, per_row_sigma):
     rng = np.random.default_rng(51)
-    x = 1.5 * rng.standard_normal((rows, 2))
+    x = 1.5 * rng.standard_normal(2 if rows is None else (rows, 2))
     sig = np.exp(rng.uniform(-7.0, 1.0, rows)) if per_row_sigma else 0.05
-    want = [ref_discrete_score(x, sig, OCTAGON).tobytes(),
-            ref_discrete_score(x, sig, OCTAGON, np.log(SKEWED)).tobytes()]
-    for workers in (None, 1, 3):
-        if workers is not None:
-            monkeypatch.setattr(rowblocks, "_WORKERS", workers)
-        got = [base_score_discrete(x, sig, OCTAGON).tobytes(),
-               exact_score_discrete(x, sig, OCTAGON, SKEWED).tobytes()]
-        assert got == want, workers
+    for probs in (None, SKEWED):
+        log_probs = None if probs is None else np.log(probs)
+        got = (base_score_discrete(x, sig, OCTAGON) if probs is None
+               else exact_score_discrete(x, sig, OCTAGON, probs))
+        want = ref_discrete_score(x, sig, OCTAGON, log_probs)
+        # both sides are within the bound of the exact score
+        tol = 2.0 * discrete_score_bound(x, sig, OCTAGON, log_probs)
+        assert got.shape == want.shape
+        assert np.all(np.max(np.abs(got - want), axis=-1) <= tol)
+
+
+def test_discrete_score_rows_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(52)
+    x = 1.5 * rng.standard_normal((10001, 2))
+    sig = np.exp(rng.uniform(-7.0, 1.0, 10001))
+    full = [base_score_discrete(x, sig, OCTAGON),
+            exact_score_discrete(x, sig, OCTAGON, SKEWED),
+            base_score_discrete(x, 0.05, OCTAGON)]
+    for start, stop in [(0, 1), (5, 6), (0, 2), (3, 10), (100, 612), (511, 1024),
+                        (4000, 8097), (9990, 10001), (1, 10001)]:
+        part = [base_score_discrete(x[start:stop], sig[start:stop], OCTAGON),
+                exact_score_discrete(x[start:stop], sig[start:stop], OCTAGON, SKEWED),
+                base_score_discrete(x[start:stop], 0.05, OCTAGON)]
+        for whole, got in zip(full, part):
+            assert got.tobytes() == whole[start:stop].tobytes(), (start, stop)
 
 
 def mp_nsphere_radial(r, sig, n):

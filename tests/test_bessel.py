@@ -220,6 +220,19 @@ def test_ratio_i0_i1():
         assert bessel_ratio_i0_i1(float(x)) > 1.0
 
 
+def test_ratio_i0_i1_domain_ends_at_smallest_normal():
+    tiny = np.finfo(np.float64).tiny
+    below = (float.fromhex("0x0.fffffffffffffp-1022"), 1e-308, 5e-324, 0.0)
+    with np.errstate(all="raise"):
+        r = bessel_ratio_i0_i1(tiny)
+        assert np.isfinite(r) and r == pytest.approx(2.0 / tiny, rel=1e-15)
+        for x in below:
+            with pytest.raises(ValueError, match="smallest normal double"):
+                bessel_ratio_i0_i1(x)
+            with pytest.raises(ValueError, match="smallest normal double"):
+                bessel_ratio_i0_i1(np.array([1.0, x]))
+
+
 def test_log_domain_half_order_example():
     # e^{-50} sqrt(2/(50 pi)) sinh 50, assembled without overflow.
     want = math.sqrt(2 / (50 * math.pi)) * math.sinh(50.0) * math.exp(-50.0)

@@ -68,6 +68,21 @@ def test_perturb_rejects_negative_sigma():
         perturb(np.zeros(3), -0.1, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_perturb_and_targets_reject_non_finite_sigma(bad):
+    x0 = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    xt = x0 + 0.1
+    ds = DiscreteSet(TWO_POINTS)
+    for sigma in (bad, np.array([0.5, bad])):
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+                perturb(x0, sigma, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                dsm_target(x0, xt, sigma)
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                mad_target(x0, xt, sigma, ds)
+
+
 def test_dsm_target_recovers_negative_noise():
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal((500, 2))
