@@ -16,6 +16,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from manifold_dsm import rowblocks
 from manifold_dsm.basescore import (
     OracleEstimate,
     base_score,
@@ -231,6 +232,60 @@ def ref_softmax_weights(x, sigma, points, log_probs=None):
 def ref_discrete_score(x, sigma, points, log_probs=None):
     w = ref_softmax_weights(x, np.broadcast_to(sigma, x.shape[:-1]), points, log_probs)
     return (w @ points - x) / np.asarray(sigma)[..., None] ** 2
+
+
+def ref_logit_weights(x, sigma, points, log_probs=None):
+    """The centered-logits posterior weights, allocating at every step."""
+    c = points.mean(axis=0)
+    u = points - c
+    sig2 = np.broadcast_to(sigma, x.shape[:-1]).reshape(-1) ** 2
+    logits = (u @ (np.atleast_2d(x) - c).T - 0.5 * np.sum(u * u, axis=1)[:, None]) / sig2
+    if log_probs is not None:
+        logits = logits + log_probs[:, None]
+    w = np.exp(logits - logits.max(axis=0))
+    return (w / w.sum(axis=0)).T.reshape(x.shape[:-1] + (points.shape[0],))
+
+
+def ref_logit_score(x, sigma, points, log_probs=None):
+    w = ref_logit_weights(x, sigma, points, log_probs)
+    return (w @ points - x) / np.asarray(sigma)[..., None] ** 2
+
+
+@pytest.mark.parametrize(
+    "rows,per_row_sigma",
+    [(None, False), (1, False), (1, True), (7, False), (7, True), (512, False), (512, True)],
+)
+def test_discrete_scores_match_reference_bitwise(rows, per_row_sigma):
+    rng = np.random.default_rng(50)
+    x = rng.standard_normal(2 if rows is None else (rows, 2))
+    sig = np.exp(rng.uniform(-7.0, 1.0, rows)) if per_row_sigma else 0.05
+    cases = [
+        (base_score_discrete(x, sig, OCTAGON), ref_logit_score(x, sig, OCTAGON)),
+        (exact_score_discrete(x, sig, OCTAGON, SKEWED),
+         ref_logit_score(x, sig, OCTAGON, np.log(SKEWED))),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("rows", [2, 511, 512, 513, 1025, 4096, 10000, 10001])
+@pytest.mark.parametrize("per_row_sigma", [False, True])
+def test_blocked_discrete_scores_match_reference_bitwise(monkeypatch, rows, per_row_sigma):
+    # the discrete score runs on the calling thread: the row-block worker
+    # count must not move a byte
+    rng = np.random.default_rng(51)
+    x = 1.5 * rng.standard_normal((rows, 2))
+    sig = np.exp(rng.uniform(-7.0, 1.0, rows)) if per_row_sigma else 0.05
+    want = [ref_logit_score(x, sig, OCTAGON).tobytes(),
+            ref_logit_score(x, sig, OCTAGON, np.log(SKEWED)).tobytes()]
+    for workers in (None, 1, 3):
+        if workers is not None:
+            monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+        got = [base_score_discrete(x, sig, OCTAGON).tobytes(),
+               exact_score_discrete(x, sig, OCTAGON, SKEWED).tobytes()]
+        assert got == want, workers
 
 
 # Rounding bound for the discrete scores, per query row.  The logits are
