@@ -9,15 +9,16 @@ here, and the resulting "base score" carries all of the support's geometry:
   ((u_i - c).(x - c) - ||u_i - c||^2 / 2) / sigma^2 about the centroid c (the
   same softmax as -||x - u_i||^2 / (2 sigma^2)), from one GEMM; each logit
   rounds by about eps (||x - c|| R + R^2) / sigma^2 with R = max ||u_i - c||;
-* the n-sphere: a radial field whose magnitude is a ratio of modified Bessel
-  functions of orders (n-3)/2, (n-1)/2, (n+1)/2 at z = ||x||/sigma^2;
-* S^2: the Bessel ratio collapses to coth(z), no special functions needed;
-* S^3 (unit quaternions): the ratio reduces to I_0/I_1.
+* the n-sphere: a radial field whose magnitude depends on one Bessel ratio,
+  rho(z) = I_{(n-3)/2}(z) / I_{(n-1)/2}(z) at z = ||x||/sigma^2, through one
+  formula (`_sphere_score`) shared by every n;
+* S^2: the ratio collapses to coth(z), no special functions needed;
+* S^3 (unit quaternions): the ratio is I_0/I_1.
 
-Every sphere formula is assembled from exponentially scaled Bessel values so
-nothing overflows as sigma -> 0 (z reaches 1e8 and beyond).  Near-origin
-queries (||x|| < 1e-8) are rejected: the formulas are undefined at x = 0 and
-reverse-SDE trajectories hit the origin with probability zero.
+The ratio is never formed from Bessel values, so nothing overflows as
+sigma -> 0 (z reaches 1e8 and beyond) and nothing underflows at high n.
+Near-origin queries (||x|| < 1e-8) are rejected: the formulas are undefined at
+x = 0 and reverse-SDE trajectories hit the origin with probability zero.
 
 `mc_score_oracle` estimates the same score by self-normalized importance
 sampling from mu directly.  It shares no code with the closed forms, reports a
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _ratio_cf, bessel_i_scaled, bessel_ratio_i0_i1
+from .bessel import bessel_ratio, bessel_ratio_i0_i1
 from .errors import DegenerateInputError, UnreliableEstimateError
 from .geometry import DiscreteSet, Manifold, Sphere
 
@@ -79,14 +80,6 @@ def _sphere_radius(x: np.ndarray) -> np.ndarray:
             f"sphere score undefined near the origin (||x|| < {_MIN_SPHERE_NORM:g})"
         )
     return r
-
-
-def _sphere_args(x, sigma, dim: int):
-    """Checked query x with r = ||x||, sig2 = sigma^2 per row and z = r/sig2."""
-    x, sigma = _check_xy_sigma(x, sigma, dim)
-    r = _sphere_radius(x)
-    sig2 = np.broadcast_to(sigma, r.shape) ** 2
-    return x, r, sig2, r / sig2
 
 
 def _softmax_weights(x, sigma, points, log_probs=None) -> np.ndarray:
@@ -153,56 +146,46 @@ def exact_score_discrete(x, sigma, points, probs) -> np.ndarray:
     return _score_from_mean(w @ points, x, sigma)
 
 
-def base_score_nsphere(x, sigma, n: int) -> np.ndarray:
-    """Uniform-measure base score on the n-sphere, radial in x.
+def _sphere_score(x, sigma, n: int, ratio) -> np.ndarray:
+    """Uniform-measure base score on S^n, radial in x:
 
-    -x/sigma^2 + (1-n)/2 * x/||x||^2 + B(z) * x/(sigma^2 ||x||) where B is the
-    Bessel bracket (I_{(n-3)/2}(z) + I_{(n+1)/2}(z)) / (2 I_{(n-1)/2}(z)) at
-    z = ||x||/sigma^2, computed from scaled Bessel values, or from the
-    continued-fraction ratios I_{(n+1)/2}/I_{(n-1)/2} and I_{(n-1)/2}/I_{(n-3)/2}
-    where the scaled I_{(n-1)/2} underflows to zero (high n, small z).
+    x (-1/sigma^2 + (1-n)/2 / ||x||^2 + (rho(z) - (n-1)/(2z)) / (sigma^2 ||x||))
+
+    at z = ||x||/sigma^2, with rho(z) = ratio(z) = I_{(n-3)/2}(z) / I_{(n-1)/2}(z).
+    rho - (n-1)/(2z) is the Bessel bracket (I_{(n-3)/2} + I_{(n+1)/2}) / (2 I_{(n-1)/2})
+    after the recurrence I_{nu-1} - I_{nu+1} = (2 nu / z) I_nu.
     """
+    x, sigma = _check_xy_sigma(x, sigma, n + 1)
+    r = _sphere_radius(x)
+    sig2 = np.broadcast_to(sigma, r.shape) ** 2
+    z = r / sig2
+    # this evaluation order fixes the bits of every seeded S^3 run
+    radial = -1.0 / sig2 + (1 - n) / 2 / r**2 + (ratio(z) - (n - 1) / 2 * sig2 / r) / (sig2 * r)
+    return x * radial[..., None]
+
+
+def base_score_nsphere(x, sigma, n: int) -> np.ndarray:
+    """Uniform-measure base score on the n-sphere, radial in x, from the Bessel
+    ratio I_{(n-3)/2}/I_{(n-1)/2} (see `_sphere_score`)."""
     if n < 1:
         raise ValueError("n-sphere score needs n >= 1")
-    x, r, sig2, z = _sphere_args(x, sigma, n + 1)
-    lo = (n - 3) / 2.0
-    if lo < -0.5:
-        # only n = 1 lands here; integer-order symmetry I_{-1} = I_1
-        lo = -lo
-    mid = (n - 1) / 2.0
-    hi = (n + 1) / 2.0
-    lo_v, mid_v, hi_v = (np.asarray(bessel_i_scaled(nu, z)) for nu in (lo, mid, hi))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bracket = np.asarray((lo_v + hi_v) / (2.0 * mid_v))
-    under = mid_v == 0.0
-    if np.any(under):
-        # high order at small z: the scaled values underflow, their ratios do not
-        zu = np.asarray(z)[under]
-        up = _ratio_cf(mid, zu)
-        down = up if n == 1 else 1.0 / _ratio_cf(lo, zu)
-        bracket[under] = (down + up) / 2.0
-    radial = -1.0 / sig2 + (1.0 - n) / 2.0 / r**2 + bracket / (sig2 * r)
-    return x * radial[..., None]
+    return _sphere_score(x, sigma, n, lambda z: bessel_ratio((n - 1) / 2, z))
+
+
+def _coth(z):
+    # 1 - tanh(40) is below double precision's relative resolution, so coth
+    # saturates to 1 there, which keeps it overflow-free for any z
+    return np.where(z > 40.0, 1.0, 1.0 / np.tanh(np.minimum(z, 40.0)))
 
 
 def base_score_s2(x, sigma) -> np.ndarray:
-    """S^2 base score: x * (-1/sigma^2 - 1/||x||^2 + coth(z)/(sigma^2 ||x||)).
-
-    coth saturates to 1 beyond z = 40 (1 - tanh(40) is below double precision
-    relative resolution), which keeps the expression overflow-free for any z.
-    """
-    x, r, sig2, z = _sphere_args(x, sigma, 3)
-    coth = np.where(z > 40.0, 1.0, 1.0 / np.tanh(np.minimum(z, 40.0)))
-    radial = -1.0 / sig2 - 1.0 / r**2 + coth / (sig2 * r)
-    return x * radial[..., None]
+    """S^2 base score, where the Bessel ratio I_{-1/2}/I_{1/2} is coth(z)."""
+    return _sphere_score(x, sigma, 2, _coth)
 
 
 def base_score_s3(x, sigma) -> np.ndarray:
-    """S^3 (unit quaternion) base score via the I_0/I_1 Bessel ratio."""
-    x, r, sig2, z = _sphere_args(x, sigma, 4)
-    ratio = bessel_ratio_i0_i1(z)
-    radial = -1.0 / sig2 - 1.0 / r**2 + (ratio - sig2 / r) / (sig2 * r)
-    return x * radial[..., None]
+    """S^3 (unit quaternion) base score, where the Bessel ratio is I_0/I_1."""
+    return _sphere_score(x, sigma, 3, bessel_ratio_i0_i1)
 
 
 def base_score(x, sigma, manifold: Manifold) -> np.ndarray:

@@ -8,8 +8,9 @@ integers >= 0 and half-integers >= -1/2.  The evaluation strategy per order:
   scaled variants stay fully accurate at small x.
 * nu = 0, 1: both orders at once, as one fixed-length Chebyshev sum per
   argument, on [0, 8] in x and beyond 8 in 1/x, as in Cephes `i0e`/`i1e`
-  (Moshier, "Methods and Programs for Mathematical Functions", 1989).  The
-  coefficients come from tools/gen_bessel_i01.py.
+  (Moshier, "Methods and Programs for Mathematical Functions", 1989), summed
+  for both pieces in one Clenshaw loop.  The coefficients come from
+  tools/gen_bessel_i01.py.
 * remaining orders: the large-x asymptotic expansion (DLMF 10.40.1) where it
   converges fast, otherwise the three-term recurrence run in its numerically
   stable downward direction, i.e. ratios I_{k+1}/I_k from the Gauss continued
@@ -19,7 +20,10 @@ integers >= 0 and half-integers >= -1/2.  The evaluation strategy per order:
 Everything is evaluated in scaled form e^{-x} I_nu(x) internally; the unscaled
 value is reconstructed on demand.  Scaled values stay finite for arguments up
 to 1e8 and beyond, which the score formulas need because their Bessel argument
-is ||x||/sigma^2.
+is ||x||/sigma^2.  The sphere scores need only the ratio I_{nu-1}/I_nu, which
+`bessel_ratio` takes from the same two expansions without forming I_nu, so it
+stays finite where high orders underflow.  Every element's bytes are
+independent of the batch it is evaluated in.
 
 All functions accept scalars or numpy arrays and are pure.
 """
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BesselOrder", "bessel_i", "bessel_i_scaled", "bessel_ratio_i0_i1"]
+__all__ = ["BesselOrder", "bessel_i", "bessel_i_scaled", "bessel_ratio", "bessel_ratio_i0_i1"]
 
 # Orders >= 2 use the asymptotic expansion from this argument on (where it
 # also needs 4 nu^2 <= x); it reaches <= 1e-12 relative error there.
@@ -89,9 +93,12 @@ _I1_LARGE = (
     -3.882564808877691e-06, -0.00011058893876262371, -0.009761097491361469,
     0.7785762350182801,
 )
-# (K, 2, 1): row k holds the degree-k coefficients of orders 0 and 1
+# (30, 2, 1): row k holds the degree-(29 - k) coefficients of orders 0 and 1.
+# LARGE leads with zero rows, which keep the Clenshaw sums at +0, so both
+# pieces run in one loop of SMALL's length.
+_PAD = len(_I0_SMALL) - len(_I0_LARGE)
 _SMALL = np.array([_I0_SMALL, _I1_SMALL]).T[:, :, None]
-_LARGE = np.array([_I0_LARGE, _I1_LARGE]).T[:, :, None]
+_LARGE = np.pad(np.array([_I0_LARGE, _I1_LARGE]).T[:, :, None], ((_PAD, 0), (0, 0), (0, 0)))
 
 
 @dataclass(frozen=True)
@@ -136,15 +143,18 @@ def _asym_ie(nu: float, x: np.ndarray) -> np.ndarray:
 
 
 def _ratio_cf(nu: float, x: np.ndarray) -> np.ndarray:
-    """I_{nu+1}(x) / I_nu(x) by modified Lentz on the Gauss continued fraction.
+    """I_{nu+1}(x) / I_nu(x) for 1-D x > 0 by modified Lentz on the Gauss
+    continued fraction.
 
     I_nu/I_{nu+1} = b_0 + 1/(b_1 + 1/(b_2 + ...)) with b_j = 2(nu+1+j)/x;
     this is the downward-stable form of the recurrence
-    2 nu I_nu = x (I_{nu-1} - I_{nu+1}).  Requires x > 0.
+    2 nu I_nu = x (I_{nu-1} - I_{nu+1}).  Each element leaves the loop at its
+    own convergence, so its bytes do not depend on its batch.
     """
     tiny = 1e-300
-    b = 2.0 * (nu + 1.0) / x
-    f = np.maximum(b, tiny)
+    out = np.empty_like(x)
+    left = np.arange(x.size)
+    f = np.maximum(2.0 * (nu + 1.0) / x, tiny)
     c = f.copy()
     d = np.zeros_like(x)
     for j in range(1, 1_000_000):
@@ -153,15 +163,31 @@ def _ratio_cf(nu: float, x: np.ndarray) -> np.ndarray:
         c = b + 1.0 / c
         delta = c * d
         f = f * delta
-        if np.all(np.abs(delta - 1.0) < 1e-15):
-            return 1.0 / f
+        done = np.abs(delta - 1.0) < 1e-15
+        if done.any():
+            out[left[done]] = 1.0 / f[done]
+            if done.all():
+                return out
+            keep = ~done
+            left, x, f, c, d = left[keep], x[keep], f[keep], c[keep], d[keep]
     raise RuntimeError("Bessel ratio continued fraction failed to converge")
 
 
-def _chebyshev(t: np.ndarray, table: np.ndarray) -> np.ndarray:
-    # Clenshaw's recurrence b_k = c_k + 2t b_{k+1} - b_{k+2} for both orders
-    # at once, in three rotating buffers; the sum is (b_0 - b_2) / 2.
-    t2 = np.empty((2, t.size))
+def _ie01(x: np.ndarray) -> np.ndarray:
+    """Rows e^{-x} I_0(x) and e^{-x} I_1(x) for 1-D x > 0, as one Clenshaw pass
+    b_k = c_k + 2t b_{k+1} - b_{k+2} over both orders and both pieces, with
+    sum (b_0 - b_2) / 2.  Each element takes a fixed sequence of operations,
+    so its bytes do not depend on its batch."""
+    small = x <= 8.0
+    if small.all():
+        table = _SMALL
+    elif not small.any():
+        table = _LARGE[_PAD:]
+    else:
+        table = np.where(small, _SMALL, _LARGE)
+    # both branches run on every row: the maximum keeps 16/x finite for tiny x
+    t = np.where(small, 0.25 * x - 1.0, 16.0 / np.maximum(x, 8.0) - 1.0)
+    t2 = np.empty((2, x.size))
     np.multiply(t, 2.0, out=t2)
     b0 = np.zeros_like(t2)
     b1 = np.zeros_like(t2)
@@ -173,36 +199,9 @@ def _chebyshev(t: np.ndarray, table: np.ndarray) -> np.ndarray:
         b0 += c
     b0 -= b2
     b0 *= 0.5
+    b0 /= np.where(small, 1.0 + x, np.sqrt(x))
+    b0[1] *= np.where(small, x, 1.0)
     return b0
-
-
-def _ie01_small(x: np.ndarray) -> np.ndarray:
-    # 0 < x <= 8
-    s = _chebyshev(0.25 * x - 1.0, _SMALL)
-    s /= 1.0 + x
-    s[1] *= x
-    return s
-
-
-def _ie01_large(x: np.ndarray) -> np.ndarray:
-    # x >= 8
-    s = _chebyshev(16.0 / x - 1.0, _LARGE)
-    s /= np.sqrt(x)
-    return s
-
-
-def _ie01(x: np.ndarray) -> np.ndarray:
-    """Rows e^{-x} I_0(x) and e^{-x} I_1(x) for 1-D x > 0.  Each element takes a
-    fixed sequence of operations, so its bytes do not depend on its batch."""
-    small = x <= 8.0
-    if small.all():
-        return _ie01_small(x)
-    if not small.any():
-        return _ie01_large(x)
-    out = np.empty((2, x.size))
-    out[:, small] = _ie01_small(x[small])
-    out[:, ~small] = _ie01_large(x[~small])
-    return out
 
 
 def _ihalf_e(x: np.ndarray) -> np.ndarray:
@@ -307,3 +306,27 @@ def bessel_ratio_i0_i1(x):
         raise ValueError("bessel_ratio_i0_i1 requires x >= the smallest normal double, 2.2e-308")
     ie = _ie01(arr.ravel())
     return _match_shape((ie[0] / ie[1]).reshape(arr.shape), x)
+
+
+def bessel_ratio(nu, x):
+    """I_{nu-1}(x) / I_nu(x) for an order nu >= 0 (I_{-1} = I_1) and finite x > 0.
+
+    The quotient of the asymptotic expansions where x >= 15 and 4 nu^2 <= x,
+    otherwise the Gauss continued fraction for I_nu / I_{nu-1}; neither forms
+    an I_nu value, so the ratio survives where e^{-x} I_nu(x) underflows
+    (high order, small x).
+    """
+    order = _as_order(nu)
+    arr = np.asarray(x, dtype=np.float64)
+    if order < 0.0:
+        raise ValueError(f"bessel_ratio needs an order >= 0, got {order}")
+    if not np.all((arr > 0.0) & (arr < np.inf)):
+        raise ValueError("bessel_ratio requires finite x > 0")
+    flat = arr.ravel()
+    out = np.empty_like(flat)
+    direct = (flat >= _CROSSOVER) & (4.0 * order * order <= flat)
+    if direct.any():
+        out[direct] = _asym_ie(order - 1.0, flat[direct]) / _asym_ie(order, flat[direct])
+    if not direct.all():
+        out[~direct] = 1.0 / _ratio_cf(order - 1.0, flat[~direct])
+    return _match_shape(out.reshape(arr.shape), x)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .geometry import DiscreteSet, Sphere, build_symmetry_group, project
 from .metrics import append_metric, discrete_tv, format_line, manifold_drift, mmd, spread
-from .mlp import MlpConfig, forward, load_checkpoint, save_checkpoint, train
+from .mlp import MlpConfig, forward, json_fields, load_checkpoint, save_checkpoint, train
 
 __all__ = ["main"]
 
@@ -118,10 +118,6 @@ class TrainingConfig:
             raise ValueError("seed must be nonnegative")
 
 
-# JSON types a field of each annotated type accepts
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "tuple": list}
-
-
 def _checked(section: str, make, *args, **kwargs):
     """make(*args, **kwargs), reporting a ValueError or TypeError as a ConfigError
     of the section."""
@@ -134,27 +130,15 @@ def _checked(section: str, make, *args, **kwargs):
 def from_dict(cls, cfg: dict, section: str, **overrides):
     """Build the config dataclass `cls` from the JSON object cfg[section].
 
-    Every key must name a field of `cls` and hold a value of the field's JSON
-    type; an int is accepted, and stored as a float, for a float field, which
-    must be finite (Python's json reads NaN and Infinity).
-    `overrides` set fields whatever the section says.  Failures, including
-    the class's own validation, raise ConfigError("<section>: ...").
+    The section's keys and value types are checked by `mlp.json_fields`, the
+    rules checkpoint headers also follow.  `overrides` set fields whatever
+    the section says.  Failures, including the class's own validation, raise
+    ConfigError("<section>: ...").
     """
     data = cfg.get(section)
     if not isinstance(data, dict):
         raise ConfigError(f"config is missing the {section!r} section")
-    types = {f.name: f.type for f in fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in types:
-            raise ConfigError(f"{section}: unknown key {key!r}")
-        want = _JSON_TYPES[types[key]]
-        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
-            raise ConfigError(f"{section}: {key} must be {types[key]}, got {value!r}")
-        # nan, inf and an int past the float range all fail `<=`
-        if types[key] == "float" and not abs(value) <= sys.float_info.max:
-            raise ConfigError(f"{section}: {key} must be finite, got {value!r}")
-        kwargs[key] = float(value) if types[key] == "float" else value
+    kwargs = _checked(section, json_fields, cls, data)
     return _checked(section, cls, **{**kwargs, **overrides})
 
 

@@ -22,7 +22,8 @@ raw final state: measuring how far it lands from the manifold
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -47,34 +48,23 @@ class NoiseSchedule:
     sigma_min: float
     sigma_max: float
     num_scales: int
-    sigmas: np.ndarray
+    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (0.0 < self.sigma_min < self.sigma_max):
-            raise ValueError("need 0 < sigma_min < sigma_max")
+        if not (0.0 < self.sigma_min < self.sigma_max < math.inf):
+            raise ValueError("need 0 < sigma_min < sigma_max, both finite")
         if self.num_scales < 2:
             raise ValueError("need at least 2 noise scales")
-        s = np.asarray(self.sigmas, dtype=np.float64)
-        if s.shape != (self.num_scales,):
-            raise ValueError("sigmas length must equal num_scales")
-        if s[0] != self.sigma_max or s[-1] != self.sigma_min:
-            raise ValueError("sigmas must run from sigma_max down to sigma_min")
-        ratios = s[1:] / s[:-1]
-        if np.any(ratios >= 1.0) or np.max(np.abs(ratios - ratios[0])) > 1e-12:
-            raise ValueError("sigmas must be strictly descending with constant ratio")
-        s = s.copy()
+        s = np.geomspace(self.sigma_max, self.sigma_min, self.num_scales)
+        # geomspace endpoints can miss the exact inputs by an ulp
+        s[0] = self.sigma_max
+        s[-1] = self.sigma_min
         s.flags.writeable = False
         object.__setattr__(self, "sigmas", s)
 
     @classmethod
     def geometric(cls, sigma_min: float, sigma_max: float, num_scales: int) -> "NoiseSchedule":
-        if num_scales < 2:  # before geomspace: an empty grid has no endpoints to fix
-            raise ValueError("need at least 2 noise scales")
-        sigmas = np.geomspace(sigma_max, sigma_min, num_scales)
-        # geomspace endpoints can miss the exact inputs by an ulp
-        sigmas[0] = sigma_max
-        sigmas[-1] = sigma_min
-        return cls(float(sigma_min), float(sigma_max), int(num_scales), sigmas)
+        return cls(float(sigma_min), float(sigma_max), int(num_scales))
 
 
 def perturb(x0, sigma, rng: np.random.Generator) -> np.ndarray:

@@ -38,7 +38,9 @@ starts exactly at the base score.
 
 Checkpoints are a small versioned binary container: magic, version, a JSON
 header (config, layer shapes, caller extras), the raw little-endian float64
-layer data, and a SHA-256 trailer over everything before it.
+layer data, and a SHA-256 trailer over everything before it.  The header's
+config obeys the same JSON type rules (`json_fields`) as a run config's
+`model` section.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,10 +69,36 @@ __all__ = [
     "train",
     "save_checkpoint",
     "load_checkpoint",
+    "json_fields",
 ]
 
 _MAGIC = b"SCORENET"
 _VERSION = 1
+
+# JSON types a field of each annotated type accepts
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "tuple": list}
+
+
+def json_fields(cls, data: dict) -> dict:
+    """Keyword arguments for the dataclass `cls` from the JSON object `data`.
+
+    Every key must name a field of `cls` and hold a value of the field's JSON
+    type; an int is accepted, and stored as a float, for a float field, which
+    must be finite (Python's json reads NaN and Infinity).  Raises ValueError.
+    """
+    types = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in types:
+            raise ValueError(f"unknown key {key!r}")
+        want = _JSON_TYPES[types[key]]
+        if not isinstance(value, want) or (isinstance(value, bool) and want is not bool):
+            raise ValueError(f"{key} must be {types[key]}, got {value!r}")
+        # nan, inf and an int past the float range all fail `<=`
+        if types[key] == "float" and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{key} must be finite, got {value!r}")
+        kwargs[key] = float(value) if types[key] == "float" else value
+    return kwargs
 
 
 @dataclass(frozen=True)
@@ -151,8 +180,8 @@ def init_params(config: MlpConfig, rng: np.random.Generator) -> NetworkParams:
 
 def _embed_sigma(config: MlpConfig, sigma: np.ndarray, n: int) -> np.ndarray:
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))
-    if np.any(sig <= 0.0):
-        raise ValueError("sigma must be positive")
+    if not np.all(np.isfinite(sig) & (sig > 0.0)):
+        raise ValueError("sigma must be positive and finite")
     log_sig = np.log(sig)
     if config.sigma_embedding == "log_sigma_concat":
         return log_sig[:, None]
@@ -469,8 +498,8 @@ def load_checkpoint(path):
         raise CheckpointFormatError(f"unsupported checkpoint version {version}")
     try:
         header = json.loads(blob[off : off + hdr_len].decode("utf-8"))
-        config = MlpConfig(**header["config"])
-    except (ValueError, KeyError, TypeError) as exc:
+        config = MlpConfig(**json_fields(MlpConfig, header["config"]))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointFormatError(f"invalid checkpoint header: {exc}") from exc
     off += hdr_len
     shapes = config.layer_shapes()

@@ -28,7 +28,6 @@ from manifold_dsm.basescore import (
     mc_score_oracle,
     posterior_mean_discrete,
 )
-from manifold_dsm.bessel import bessel_i_scaled
 from manifold_dsm.errors import DegenerateInputError, UnreliableEstimateError
 from manifold_dsm.geometry import DiscreteSet, Sphere
 
@@ -412,9 +411,10 @@ def mp_nsphere_radial(r, sig, n):
 
 
 def test_high_order_sphere_score_survives_bessel_underflow():
-    # on S^400 the scaled I_{199.5}(z) underflows to 0 at z = 1; z = 400 does not
+    # on S^400 the scaled I_{199.5}(z) underflows to 0 at z = 1, is subnormal
+    # (8e-323, five significant bits) at z = 3.7, and is normal at z = 400
     n = 400
-    cases = [(1.0, 1.0), (0.5, 1.0), (1.3, 2.0), (1.0, 0.05)]
+    cases = [(1.0, 1.0), (0.5, 1.0), (1.3, 2.0), (1.0, 0.52), (1.0, 0.05)]
     x = np.zeros((len(cases), n + 1))
     x[:, 0] = [r for r, _ in cases]
     sig = np.array([s for _, s in cases])
@@ -425,14 +425,19 @@ def test_high_order_sphere_score_survives_bessel_underflow():
         assert abs(batch[i, 0] - want) <= 1e-10 * abs(want)
         assert np.all(batch[i, 1:] == 0.0)
         assert base_score_nsphere(x[i], s, n).tobytes() == batch[i].tobytes()
-    # where nothing underflows, the bits are those of the scaled-value formula
-    z = 1.0 / 0.05**2
-    assert bessel_i_scaled((n - 1) / 2, z) > 0.0
-    bracket = (bessel_i_scaled((n - 3) / 2, z) + bessel_i_scaled((n + 1) / 2, z)) / (
-        2.0 * bessel_i_scaled((n - 1) / 2, z)
-    )
-    sig2 = 0.05**2
-    assert batch[3, 0] == -1.0 / sig2 + (1.0 - n) / 2.0 + bracket / sig2
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 9, 50])
+def test_nsphere_score_rows_do_not_depend_on_the_batch(n):
+    # z = ||x||/sigma^2 from 0.1 to ~600 mixes asymptotic and continued-fraction
+    # rows, and fast- and slow-converging ones within the continued fraction
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((200, n + 1))
+    x *= rng.uniform(0.5, 1.5, (200, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    sig = np.exp(rng.uniform(np.log(0.04), np.log(3.0), 200))
+    batch = base_score_nsphere(x, sig, n)
+    for i in range(200):
+        assert base_score_nsphere(x[i], sig[i], n).tobytes() == batch[i].tobytes(), i
 
 
 def test_batch_and_scalar_shapes():

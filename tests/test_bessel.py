@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from manifold_dsm import bessel
-from manifold_dsm.bessel import BesselOrder, bessel_i, bessel_i_scaled, bessel_ratio_i0_i1
+from manifold_dsm.bessel import (
+    BesselOrder,
+    bessel_i,
+    bessel_i_scaled,
+    bessel_ratio,
+    bessel_ratio_i0_i1,
+)
 
 mp.mp.dps = 50
 
@@ -162,10 +168,10 @@ def test_scaled_finite_for_huge_arguments():
 
 
 def test_chebyshev_pieces_agree_at_split():
-    # x = 8 ends the series in x and starts the series in 1/x; orders 0 and 1
-    # must come out the same from both.
-    x = np.array([8.0])
-    np.testing.assert_allclose(bessel._ie01_small(x), bessel._ie01_large(x), rtol=2e-15, atol=0)
+    # x = 8 ends the series in x and the next double starts the series in
+    # 1/x; orders 0 and 1 must come out the same from both.
+    small, large = bessel._ie01(np.array([8.0, np.nextafter(8.0, 9.0)])).T
+    np.testing.assert_allclose(small, large, rtol=2e-15, atol=0)
 
 
 @pytest.mark.parametrize("nu, xs", [(2.0, [15.0, 16.0, 25.0, 1e3, 1e7]),
@@ -233,6 +239,35 @@ def test_ratio_i0_i1_domain_ends_at_smallest_normal():
                 bessel_ratio_i0_i1(np.array([1.0, x]))
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 4.5, 10.0, 199.5])
+def test_bessel_ratio_matches_mpmath(nu):
+    # 1e-12 is the asymptotic branch's standard (see _CROSSOVER); it is worst
+    # at x = 15 for nu <= 1.5, where the expansion drops e^{-2x} terms
+    xs = np.unique(np.concatenate([np.geomspace(1e-6, 1e9, 151), np.linspace(14.0, 40.0, 105)]))
+    got = bessel_ratio(nu, xs)
+    with mp.workdps(40):
+        for g, x in zip(got, xs):
+            xm = mp.mpf(float(x))
+            want = mp.besseli(nu - 1 if nu else 1, xm) / mp.besseli(nu, xm)
+            assert abs(g / want - 1) <= 1e-12, (x, g, want)
+
+
+def test_bessel_ratio_domain_and_shapes():
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite x > 0"):
+            bessel_ratio(1.5, np.array([1.0, bad]))
+    with pytest.raises(ValueError, match="order >= 0"):
+        bessel_ratio(-0.5, 1.0)
+    with pytest.raises(ValueError, match="unsupported Bessel order"):
+        bessel_ratio(0.3, 1.0)
+    xs = np.geomspace(0.1, 50.0, 6)
+    assert isinstance(bessel_ratio(2.5, 3.0), float)
+    assert bessel_ratio(2.5, xs.reshape(2, 3)).tobytes() == bessel_ratio(2.5, xs).tobytes()
+    # I_{-1} = I_1 and I_{-1/2} / I_{1/2} = coth
+    np.testing.assert_allclose(bessel_ratio(0, xs), 1.0 / bessel_ratio_i0_i1(xs), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(bessel_ratio(0.5, xs), 1.0 / np.tanh(xs), rtol=1e-12, atol=0)
+
+
 def test_log_domain_half_order_example():
     # e^{-50} sqrt(2/(50 pi)) sinh 50, assembled without overflow.
     want = math.sqrt(2 / (50 * math.pi)) * math.sinh(50.0) * math.exp(-50.0)
@@ -267,3 +302,13 @@ def test_values_do_not_depend_on_the_batch():
         for batch in (small, large, mixed):
             singles = np.array([fn(float(x)) for x in batch])
             assert fn(batch).tobytes() == singles.tobytes(), batch
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.0, 2.5, 3.0, 7.5])
+def test_higher_orders_do_not_depend_on_the_batch(nu):
+    # x from 0.01 to 60 sends rows both to the asymptotic expansion and to the
+    # continued-fraction chain, whose rows converge after different counts
+    xs = np.exp(np.random.default_rng(int(2 * nu)).uniform(np.log(0.01), np.log(60.0), 200))
+    batch = bessel_i_scaled(nu, xs)
+    for i, x in enumerate(xs):
+        assert np.float64(bessel_i_scaled(nu, float(x))).tobytes() == batch[i].tobytes(), x

@@ -6,6 +6,7 @@ quality of outputs is covered by the module tests, here we check wiring,
 file formats, exit codes, and byte-level reproducibility.
 """
 
+import hashlib
 import json
 import struct
 
@@ -457,6 +458,34 @@ def test_sample_rejects_corrupt_checkpoint(tmp_path, capsys):
     rc = main(["sample", "--checkpoint", str(bad), "--n", "4", "--out", str(tmp_path / "s")])
     assert rc == 1
     assert "checksum" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("hidden_dim", 4.0, "hidden_dim must be int, got 4.0"),
+        ("input_dim", 2.0, "input_dim must be int, got 2.0"),
+        ("antisymmetrize", "yes", "antisymmetrize must be bool, got 'yes'"),
+        ("num_hidden_layers", True, "num_hidden_layers must be int, got True"),
+    ],
+)
+def test_sample_rejects_checkpoint_header_of_wrong_type(tmp_path, capsys, key, value, message):
+    # a header edited with its SHA-256 trailer recomputed passes the checksum
+    ckpt = trained_run(tmp_path)
+    blob = ckpt.read_bytes()
+    hdr_len = struct.unpack_from("<I", blob, 12)[0]
+    header = json.loads(blob[16 : 16 + hdr_len])
+    header["config"][key] = value
+    hdr = json.dumps(header, sort_keys=True).encode("utf-8")
+    edited = blob[:12] + struct.pack("<I", len(hdr)) + hdr + blob[16 + hdr_len : -32]
+    bad = tmp_path / "edited.bin"
+    bad.write_bytes(edited + hashlib.sha256(edited).digest())
+    capsys.readouterr()
+    out = tmp_path / "s"
+    rc = main(["sample", "--checkpoint", str(bad), "--n", "4", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: invalid checkpoint header: {message}\n"
+    assert not (out / "samples.csv").exists()
 
 
 # ------------------------------------------------------------------ eval ----

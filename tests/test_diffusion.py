@@ -41,10 +41,9 @@ def test_schedule_rejects_bad_input():
         NoiseSchedule.geometric(0.0, 1.0, 10)
     with pytest.raises(ValueError):
         NoiseSchedule.geometric(0.1, 1.0, 1)
-    with pytest.raises(ValueError):
-        NoiseSchedule(0.1, 1.0, 3, np.array([1.0, 0.5, 0.1]))  # not geometric
-    with pytest.raises(ValueError):
-        NoiseSchedule(0.1, 1.0, 3, np.array([1.0, 1.0, 0.1]))  # not descending
+    for lo, hi in ((1e-4, np.inf), (1e-4, np.nan), (np.nan, 1.0), (-np.inf, 1.0)):
+        with pytest.raises(ValueError, match="both finite"):
+            NoiseSchedule.geometric(lo, hi, 10)
 
 
 def test_perturb_zero_sigma_is_identity():

@@ -177,6 +177,18 @@ def test_forward_validation():
         forward(params, cfg, np.zeros((2, 2)), -1.0)
 
 
+@pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_forward_and_backward_reject_bad_sigma(sigma):
+    # like every score and target, not as a non-finite layer-0 activation
+    cfg = tiny_config()
+    params = init_params(cfg, np.random.default_rng(8))
+    x = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        forward(params, cfg, x, sigma)
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        backward(params, cfg, x, x, np.array([0.5, sigma]))
+
+
 def test_forward_nonfinite_aborts_with_layer_index():
     cfg = tiny_config(activation="relu")
     params = init_params(cfg, np.random.default_rng(9))
