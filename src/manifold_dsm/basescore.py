@@ -52,6 +52,7 @@ __all__ = [
 ]
 
 _MIN_SPHERE_NORM = 1e-8
+_MAX_SIGMA = np.sqrt(np.finfo(np.float64).max)  # the largest sigma whose square is finite
 
 
 def _points_of(support) -> np.ndarray:
@@ -68,8 +69,8 @@ def _check_xy_sigma(x, sigma, dim: int):
     if x.shape[-1] != dim:
         raise ValueError(f"query dimension {x.shape[-1]} does not match support {dim}")
     sigma = np.asarray(sigma, dtype=np.float64)
-    if not np.all(np.isfinite(sigma) & (sigma > 0.0)):
-        raise ValueError("sigma must be positive and finite")
+    if not np.all((sigma > 0.0) & (sigma <= _MAX_SIGMA)):  # also false for nan
+        raise ValueError("sigma must be positive and finite, with a finite square")
     return x, sigma
 
 

@@ -39,6 +39,7 @@ def _cpus() -> int:
 _WORKERS = _cpus()
 _pool = None
 _pool_lock = threading.Lock()
+_on_pool = threading.local()  # .thread is set on the pool's own threads
 
 
 def _drop_pool() -> None:
@@ -60,7 +61,8 @@ def _executor():
             from concurrent.futures import ThreadPoolExecutor
 
             _pool = ThreadPoolExecutor(max_workers=max(_WORKERS - 1, 1),
-                                       thread_name_prefix="rowblocks")
+                                       thread_name_prefix="rowblocks",
+                                       initializer=setattr, initargs=(_on_pool, "thread", True))
         return _pool
 
 
@@ -73,23 +75,33 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def map_shards(fn, blocks: list[tuple[int, int]]) -> list:
+def worker_rows(n: int) -> list[tuple[int, int]]:
+    """[start, stop) bounds of one near-equal contiguous range per worker, of
+    at least two rows each, once n >= BLOCK_ROWS; else the one range (0, n),
+    since a pool round trip costs more than splitting a smaller batch saves."""
+    parts = min(_WORKERS, n // 2) if n >= BLOCK_ROWS else 1
+    return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+
+
+def map_shards(fn, blocks: list) -> list:
     """fn(shard) for contiguous shards of `blocks`, one per worker, in order.
 
-    The first shard runs on the caller's thread, the rest on the pool.  Every
-    shard is waited for, and the first failing shard's exception is raised.
+    The first shard runs on the caller's thread and the rest on the pool; a
+    pool thread runs them all itself, as waiting on its own pool could
+    deadlock.  Every shard is waited for, and the first failing shard's
+    exception is raised.
     """
     if not blocks:
         return []
     workers = min(_WORKERS, len(blocks))
-    if workers == 1:
-        return [fn(blocks)]
     size, extra = divmod(len(blocks), workers)
     shards, start = [], 0
     for k in range(workers):
         stop = start + size + (k < extra)
         shards.append(blocks[start:stop])
         start = stop
+    if workers == 1 or getattr(_on_pool, "thread", False):
+        return [fn(shard) for shard in shards]
     pool = _executor()
     futures = [pool.submit(contextvars.copy_context().run, fn, shard) for shard in shards[1:]]
     try:

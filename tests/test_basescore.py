@@ -193,7 +193,8 @@ NON_FINITE_SIGMA_CASES = {
 }
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+# 1e200 is finite, but its square is not
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200], ids=["nan", "inf", "square_overflows"])
 @pytest.mark.parametrize("case", sorted(NON_FINITE_SIGMA_CASES))
 def test_scores_reject_non_finite_sigma(case, bad):
     fn, x = NON_FINITE_SIGMA_CASES[case]

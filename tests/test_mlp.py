@@ -462,6 +462,19 @@ def test_train_matches_reference_loop_bitwise(run, loss_kind):
         assert_same_bits(a, b)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("run", ["ring_relu128_batch512", "s3_silu64_antisym_batch128"])
+def test_train_matches_reference_loop_at_one_and_three_workers(monkeypatch, run, workers):
+    monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+    config, data, manifold, schedule, batch = benchmark_shaped_run(run)
+    params, curve = train(config, "mad", data, manifold, schedule,
+                          steps=20, batch_size=batch, lr=2e-3, seed=2)
+    ref, ref_curve = ref_train(config, "mad", data, manifold, schedule, 20, batch, 2e-3, 2)
+    assert_same_bits(curve, ref_curve)
+    for a, b in zip(state_arrays(params), state_arrays(ref), strict=True):
+        assert_same_bits(a, b)
+
+
 def workspace_arrays():
     ws = getattr(mlp._workspaces, "ws", None)
     if ws is None:
@@ -685,6 +698,87 @@ def test_blocked_forward_is_stable_under_thread_switching(monkeypatch):
     try:
         for _ in range(10):
             assert forward(params, cfg, x, 0.2).tobytes() == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# Row counts around the training split: below 512 rows a batch is one shard
+# on the calling thread, from 512 on one contiguous range per worker.
+SPLIT_EDGE_ROWS = [1, 2, 255, 511, 512, 513, 1024, 1025]
+
+
+@NET_VARIANTS
+@pytest.mark.parametrize("rows", SPLIT_EDGE_ROWS)
+def test_split_backward_matches_reference_bitwise(monkeypatch, activation, antisym,
+                                                  embedding, fdim, rows):
+    cfg = tiny_config(hidden_dim=16, num_hidden_layers=3, activation=activation,
+                      antisymmetrize=antisym, sigma_embedding=embedding, fourier_dim=fdim)
+    params, x, target, sig = backward_case(cfg, rows, 53)
+    want = ref_backward(params, cfg, x, target, sig)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+        assert_same_loss_and_grads(backward(params, cfg, x, target, sig), want)
+
+
+@pytest.mark.parametrize("rows", [512, 1025])
+@pytest.mark.parametrize("config", [RING_RELU128, S3_SILU64_ANTISYM],
+                         ids=["ring_relu128", "s3_silu64_antisym"])
+def test_split_backward_matches_reference_at_training_shapes(monkeypatch, config, rows):
+    params, x, target, sig = backward_case(config, rows, 54)
+    want = ref_backward(params, config, x, target, sig)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+        assert_same_loss_and_grads(backward(params, config, x, target, sig), want)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_backward_reports_the_lowest_failing_layer(monkeypatch, workers):
+    monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+    cfg, params = diverging_params()
+    x = np.zeros((1024, 2))
+    target = np.zeros((1024, 2))
+    x[600, 0] = 1e200  # second shard only: -inf at layer 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (backward, ref_backward):
+            with pytest.raises(TrainingDivergedError, match="layer 2"):
+                fn(params, cfg, x, target, 1.0)
+        x[0, 0] = 1e200  # first shard: layer 2; second shard: nan from layer 0 on
+        x[600, 0] = np.nan
+        for fn in (backward, ref_backward):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 0"):
+                fn(params, cfg, x, target, 1.0)
+
+
+def test_caller_errstate_applies_in_pool_workers_during_backward(monkeypatch):
+    # only the last of three row ranges overflows in silu's exp, and with
+    # three workers that range runs on a pool thread
+    monkeypatch.setattr(rowblocks, "_WORKERS", 3)
+    cfg = tiny_config(activation="silu")
+    params = init_params(cfg, np.random.default_rng(13))
+    params.weights[0][:] = -1.0
+    params.biases[0][:] = 0.0
+    x = np.full((1536, 2), 0.1)
+    x[-300:] = 1000.0
+    with np.errstate(over="raise"):
+        for fn in (backward, ref_backward):
+            with pytest.raises(FloatingPointError):
+                fn(params, cfg, x, np.zeros_like(x), 1.0)
+
+
+def test_split_backward_is_stable_under_thread_switching(monkeypatch):
+    # more workers than CPUs and a short switch interval: a row range written
+    # by the wrong worker, or a round started before the last one ended,
+    # would change the bytes
+    monkeypatch.setattr(rowblocks, "_WORKERS", 8)
+    monkeypatch.setattr(rowblocks, "_pool", None)
+    cfg = tiny_config(hidden_dim=16, activation="silu", antisymmetrize=True)
+    params, x, target, sig = backward_case(cfg, 1025, 55)
+    want = ref_backward(params, cfg, x, target, sig)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            assert_same_loss_and_grads(backward(params, cfg, x, target, sig), want)
     finally:
         sys.setswitchinterval(interval)
 

@@ -1,6 +1,9 @@
 """Row blocks and the shard pool behind the blocked forward and base score."""
 
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
@@ -48,6 +51,47 @@ def test_map_shards_waits_for_every_shard_and_raises_the_first_failure(monkeypat
     with pytest.raises(KeyError, match="first"):
         rowblocks.map_shards(shard, rowblocks.row_blocks(3 * 512))
     assert sorted(done) == [512, 1024]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("n", [1, 2, 255, 511, 512, 513, 1024, 1025, 10001])
+def test_worker_rows_split_a_batch_of_a_block_or_more_once_per_worker(monkeypatch, workers, n):
+    monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+    ranges = rowblocks.worker_rows(n)
+    assert ranges[0][0] == 0 and ranges[-1][1] == n
+    assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
+    assert len(ranges) == (workers if n >= rowblocks.BLOCK_ROWS else 1)
+    sizes = [stop - start for start, stop in ranges]
+    assert max(sizes) - min(sizes) <= 1 and min(sizes) >= min(n, 2)
+
+
+def test_map_shards_called_on_a_pool_thread_runs_inline():
+    # with two workers the pool has one thread; a nested call that waited on
+    # the pool from that thread would wait for itself forever
+    script = textwrap.dedent("""
+        import threading
+        from manifold_dsm import rowblocks
+
+        rowblocks._WORKERS = 2
+        blocks = rowblocks.row_blocks(4 * 512)
+
+        def inner(shard):
+            return threading.current_thread().name, shard
+
+        def outer(shard):
+            return rowblocks.map_shards(inner, shard)
+
+        first, second = rowblocks.map_shards(outer, blocks)
+        assert [b for r in (first, second) for _, shard in r for b in shard] == blocks
+        caller = threading.current_thread().name
+        assert first[0][0] == caller  # a nested call off the pool still spreads
+        assert second[0][0] == second[1][0] != caller
+        print("ok")
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
