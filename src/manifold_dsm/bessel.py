@@ -31,11 +31,10 @@ All functions accept scalars or numpy arrays and are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BesselOrder", "bessel_i", "bessel_i_scaled", "bessel_ratio", "bessel_ratio_i0_i1"]
+__all__ = ["bessel_i", "bessel_i_scaled", "bessel_ratio", "bessel_ratio_i0_i1"]
 
 # Orders >= 2 use the asymptotic expansion from this argument on (where it
 # also needs 4 nu^2 <= x); it reaches <= 1e-12 relative error there.
@@ -101,26 +100,15 @@ _SMALL = np.array([_I0_SMALL, _I1_SMALL]).T[:, :, None]
 _LARGE = np.pad(np.array([_I0_LARGE, _I1_LARGE]).T[:, :, None], ((_PAD, 0), (0, 0), (0, 0)))
 
 
-@dataclass(frozen=True)
-class BesselOrder:
-    """Validated Bessel order: an integer >= 0 or a half-integer >= -1/2."""
-
-    nu: float
-
-    def __post_init__(self):
-        nu = float(self.nu)
-        if not math.isfinite(nu) or 2.0 * nu != round(2.0 * nu) or nu < -0.5:
-            raise ValueError(
-                f"unsupported Bessel order {self.nu!r}: need an integer >= 0 "
-                "or a half-integer >= -1/2"
-            )
-        object.__setattr__(self, "nu", nu)
-
-
 def _as_order(nu) -> float:
-    if isinstance(nu, BesselOrder):
-        return nu.nu
-    return BesselOrder(float(nu)).nu
+    """nu as a float, if it is an integer >= 0 or a half-integer >= -1/2."""
+    order = float(nu)
+    if not math.isfinite(order) or 2.0 * order != round(2.0 * order) or order < -0.5:
+        raise ValueError(
+            f"unsupported Bessel order {order!r}: need an integer >= 0 "
+            "or a half-integer >= -1/2"
+        )
+    return order
 
 
 def _asym_ie(nu: float, x: np.ndarray) -> np.ndarray:
@@ -268,8 +256,9 @@ def bessel_i_scaled(nu, x):
     """Exponentially scaled modified Bessel function e^{-x} I_nu(x).
 
     Finite for every representable x >= 0, which makes it the right primitive
-    for score formulas whose argument grows like 1/sigma^2.  `nu` may be a
-    float or a BesselOrder; x may be a scalar or array (x > 0 when nu < 0).
+    for score formulas whose argument grows like 1/sigma^2.  `nu` is an
+    integer >= 0 or a half-integer >= -1/2; x may be a scalar or array (x > 0
+    when nu < 0).
     """
     return _match_shape(_scaled(nu, x)[2], x)
 

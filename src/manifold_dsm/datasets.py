@@ -6,10 +6,7 @@ d_i the circular index distance to the peak at floor(n/4).
 
 Sphere targets are von Mises-Fisher mixtures sampled exactly: Wood's
 rejection scheme for the cosine of the polar angle plus a uniform tangent
-direction, reflected so the pole maps to the requested mean.  For S^3 targets
-meant as rotation distributions, `symmetrize_components` pairs every
-component with its antipode at half weight, making the mixture parity
-invariant (q and -q describe the same rotation).
+direction, reflected so the pole maps to the requested mean.
 
 `load_latlon_csv` ingests "lat,lon" degree pairs onto the unit sphere and
 reports the 1-based line number of anything malformed.
@@ -34,7 +31,6 @@ __all__ = [
     "sample_discrete",
     "sample_vmf",
     "sample_vmf_mixture",
-    "symmetrize_components",
     "load_latlon_csv",
     "build_dataset",
 ]
@@ -190,16 +186,6 @@ def sample_vmf(mean, kappa: float, n: int, rng: np.random.Generator) -> np.ndarr
     at_pole = np.concatenate([np.sqrt(np.maximum(1.0 - w**2, 0.0))[:, None] * v, w[:, None]], axis=1)
     out = at_pole @ _householder_to(mean).T
     return out / np.linalg.norm(out, axis=1, keepdims=True)
-
-
-def symmetrize_components(components) -> tuple:
-    """Pair each (mean, kappa, weight) with its antipode at half weight."""
-    out = []
-    for mean, kappa, weight in components:
-        m = tuple(float(v) for v in mean)
-        out.append((m, float(kappa), float(weight) / 2.0))
-        out.append((tuple(-v for v in m), float(kappa), float(weight) / 2.0))
-    return tuple(out)
 
 
 def sample_vmf_mixture(spec: DatasetSpec, n: int, seed: int) -> np.ndarray:

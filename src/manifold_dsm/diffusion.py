@@ -118,7 +118,7 @@ def reverse_sample(
 
     Noise is drawn as one (n, dim) block per step in sample order, and
     score_field sees the whole batch once per step; the network splits that
-    batch into row blocks across CPUs inside the call, with bytes equal to one
+    batch into one row range per CPU inside the call, with bytes equal to one
     full-batch pass, while the base score takes it whole on the calling
     thread.  Returns the (n, dim) final state.
     """

@@ -13,31 +13,30 @@ score itself (dsm) or the correction to the base score (mad).
 Everything is plain numpy.  Bias adds and activations run in place on each
 layer's matmul output, and every layer is checked for non-finite values.
 
-`forward` (the sampler's path) runs the hidden layers in 512-row blocks (see
-rowblocks): each block moves through two ping-pong scratch buffers that stay
-in L2, where one full-batch pass over 10k rows would write and re-read a
-10 MB activation per layer.  Blocks are split into one contiguous shard per
-CPU the process may use, each with its own scratch.  Only the last hidden
-activation is kept for every row, and the output layer is one full-batch
-matmul over it: its narrow (hidden, dim) GEMM is the one that does not give
-the same bytes at every row count.  The output is therefore bitwise the
-full-batch result, at any CPU count.  A batch of at most 512 rows, such as a
-training batch, is one block.
+Both `forward` and `backward` split their rows the same way: one contiguous
+range per CPU the process may use once a batch reaches 512 rows, else one
+range on the calling thread (`rowblocks.worker_rows`).
+
+`forward` (the sampler's path) walks each range in 512-row blocks: each block
+moves through two ping-pong scratch buffers that stay in L2, where one
+full-batch pass over 10k rows would write and re-read a 10 MB activation per
+layer.  Only the last hidden activation is kept for every row, and the
+output layer is one full-batch matmul over it: its narrow (hidden, dim) GEMM
+is the one that does not give the same bytes at every row count.  The output
+is therefore bitwise the full-batch result, at any CPU count.
 
 `backward` (the training path) runs in one workspace per thread, built once
 per (layer shapes, rows, activation, branch count): each branch's input,
 matmul outputs and silu sigmoids and activations, and the upstream gradients,
 weight-gradient products and relu mask or silu derivative the branches share.
-A batch-512 hidden array is 512 KiB; allocated afresh, its pages fault back
-in on every step whenever glibc has handed them back to the kernel (~225
-minor faults per step in a plain `mdsm train`).  From 512 rows on, the rows
-split into one range per CPU (`rowblocks.worker_rows`) for the hidden layers
-and then, branch by branch, for the input gradients g <- (g @ W.T) * act';
-the caller runs the output layer and loss over the whole batch in between.
-Each branch's weight gradients post.T @ g and g.sum(axis=0) are whole-batch,
-with layers dealt out over the workers, positive branch first.  So gradients
-are bitwise the one-thread result at any CPU count.  They are fresh zeroed
-arrays, so nothing returned aliases the workspace.
+Each range runs the hidden layers and then, branch by branch, the input
+gradients g <- (g @ W.T) * act'; the caller runs the output layer and loss
+over the whole batch in between.  Each branch's weight gradients post.T @ g
+and g.sum(axis=0) are whole-batch, with layers dealt out over the workers,
+positive branch first.  So gradients are bitwise the one-thread result at any
+CPU count.  They are fresh zeroed arrays, so nothing returned aliases the
+workspace.
+
 Adam is the standard bias-corrected update, applied in place to the parameter
 and moment arrays.  The final layer initializes to zero so a fresh mad model
 starts exactly at the base score.
@@ -62,7 +61,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import CheckpointFormatError, TrainingDivergedError
-from .rowblocks import map_shards, row_blocks, worker_rows
+from .rowblocks import BLOCK_ROWS, map_shards, worker_rows
 
 __all__ = [
     "MlpConfig",
@@ -243,32 +242,36 @@ def _output_layer(params: NetworkParams, h: np.ndarray, out=None) -> np.ndarray:
 
 
 def _blocked_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray) -> np.ndarray:
-    """Run the raw MLP on pre-assembled input h in row blocks.
+    """Run the raw MLP on pre-assembled input h, one row range per worker.
 
-    Each block runs every hidden layer through two ping-pong scratch buffers
-    and writes its last hidden activation into one (n, hidden) array; the
-    output layer is one full-batch matmul over that array.  A block stops at
-    its first non-finite layer, and the lowest such layer over all blocks is
-    the one reported, as a full-batch pass checking layer by layer would.
+    Each range walks its rows in blocks of up to BLOCK_ROWS + 1 rows; a block
+    runs every hidden layer through two ping-pong scratch buffers and writes
+    its last hidden activation into one (n, hidden) array, and the output
+    layer is one full-batch matmul over that array.  A block stops at its
+    first non-finite layer, and the lowest such layer over all blocks is the
+    one reported, as a full-batch pass checking layer by layer would.
     """
     n = h.shape[0]
     layers = len(params.weights) - 1
     silu = config.activation == "silu"
     top = np.empty((n, config.hidden_dim))
 
-    def shard(blocks):
-        rows = max(stop - start for start, stop in blocks)
+    def run_range(bounds):
+        lo, hi = bounds
+        # no one-row block: numpy sends a one-row GEMM to GEMV, whose bytes differ
+        edges = [lo, *range(lo + BLOCK_ROWS, hi - 1, BLOCK_ROWS), hi]
+        rows = min(hi - lo, BLOCK_ROWS + 1)
         bufs = [np.empty((rows, config.hidden_dim)) for _ in range(2)]
         sg = np.empty((rows, config.hidden_dim)) if silu else None
         failed = []
-        for start, stop in blocks:
+        for start, stop in zip(edges, edges[1:]):
             m = stop - start
             zs = [bufs[i % 2][:m] for i in range(layers - 1)] + [top[start:stop]]
             sgs = [sg[:m]] * layers if silu else None
             failed.append(_hidden_layers(params, silu, h[start:stop], zs, sgs, zs))
         return [f for f in failed if f is not None]
 
-    failed = sum(map_shards(shard, row_blocks(n)), [])
+    failed = sum(map_shards(run_range, worker_rows(n)), [])
     if failed:
         raise _diverged(min(failed))
     return _output_layer(params, top)
@@ -326,8 +329,8 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     silu = config.activation == "silu"
     rows = worker_rows(n)
 
-    def hidden_forward(shard):  # (branch, layer) of the shard's first failure, if any
-        cut = slice(shard[0][0], shard[-1][1])
+    def hidden_forward(bounds):  # (branch, layer) of the range's first failure, if any
+        cut = slice(*bounds)
         for branch, h in enumerate(ws.inputs):
             h = h[cut]
             h[:, : config.input_dim] = -x[cut] if branch else x[cut]
@@ -361,8 +364,8 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     for h, zs, sgs, acts, up in zip(ws.inputs, ws.zs, ws.sgs, ws.acts, upstreams):
         g = ws.ups + [up]  # g[i]: this branch's loss gradient at layer i's matmul output
 
-        def input_gradients(shard):
-            cut = slice(shard[0][0], shard[-1][1])
+        def input_gradients(bounds):
+            cut = slice(*bounds)
             d = ws.deriv[cut]
             for i in reversed(range(1, len(g))):
                 grad = np.matmul(g[i][cut], params.weights[i].T, out=g[i - 1][cut])
@@ -375,8 +378,8 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
                     np.greater(acts[i - 1][cut], 0.0, out=d)
                 grad *= d
 
-        def weight_gradients(shard):  # whole-batch sums
-            for i in (i for part in shard for i in part):
+        def weight_gradients(part):  # whole-batch sums for the layers in part
+            for i in part:
                 grads.weights[i] += np.matmul((acts[i - 1] if i else h).T, g[i], out=ws.prods[i])
                 grads.biases[i] += g[i].sum(axis=0)
 

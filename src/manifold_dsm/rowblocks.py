@@ -1,23 +1,16 @@
-"""Fixed row blocks of a batch, run in contiguous shards on a thread pool.
+"""One contiguous row range per CPU, run on a thread pool.
 
 The sampler evaluates its score field on every sample at once (10k rows and
-more).  Done as one batch, each MLP layer writes an activation several times
-the size of a core's L2 and walks over it again for the bias, activation and
-finite check.  Done in BLOCK_ROWS-row blocks, the same work stays in cache, and
-blocks are independent, so they spread over the CPUs the process may use.
+more) and the trainer regresses on a batch of a few hundred rows.  Both split
+their rows the same way: `worker_rows` gives one near-equal contiguous range
+per CPU the process may use, once a batch reaches BLOCK_ROWS rows, and
+`map_shards` runs one function per range.  Callers split only work whose
+result for a row does not depend on how many rows come with it, which the
+tests compare byte for byte with full-batch reference passes.
 
-Blocking keeps the bytes.  Callers block only work whose result for a row
-does not depend on how many rows come with it: row-wise numpy operations and
-the hidden layers' GEMMs, which the tests compare byte for byte with
-full-batch reference passes.  A one-row GEMM is the exception, since numpy
-sends it to GEMV, so `row_blocks` never ends in a one-row block (it folds
-that row into the block before it).  A batch that fits in one block is a
-single block, as before.
-
-One worker per CPU this process may run on: the calling thread takes the
-first shard and a pool, created on first use, the others.  Pool threads run
-their shard in a copy of the caller's `contextvars` context, so `np.errstate`
-set by the caller holds there too.
+The calling thread runs the first range and a pool, created on first use,
+the others.  Pool threads run their range in a copy of the caller's
+`contextvars` context, so `np.errstate` set by the caller holds there too.
 """
 
 from __future__ import annotations
@@ -66,15 +59,6 @@ def _executor():
         return _pool
 
 
-def row_blocks(n: int) -> list[tuple[int, int]]:
-    """[start, stop) bounds of BLOCK_ROWS-row blocks covering n rows, with no
-    one-row block unless n is 1."""
-    starts = list(range(0, n, BLOCK_ROWS))
-    if len(starts) > 1 and n - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
-
-
 def worker_rows(n: int) -> list[tuple[int, int]]:
     """[start, stop) bounds of one near-equal contiguous range per worker, of
     at least two rows each, once n >= BLOCK_ROWS; else the one range (0, n),
@@ -83,30 +67,21 @@ def worker_rows(n: int) -> list[tuple[int, int]]:
     return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
-def map_shards(fn, blocks: list) -> list:
-    """fn(shard) for contiguous shards of `blocks`, one per worker, in order.
+def map_shards(fn, items: list) -> list:
+    """[fn(item) for item in items], one item per worker.
 
-    The first shard runs on the caller's thread and the rest on the pool; a
-    pool thread runs them all itself, as waiting on its own pool could
-    deadlock.  Every shard is waited for, and the first failing shard's
-    exception is raised.
+    The first item runs on the caller's thread and the rest on the pool.  A
+    single item, one worker, or a call from a pool thread (where waiting on
+    its own pool could deadlock) runs them all inline.  Every item is waited
+    for, and the first failing item's exception is raised.
     """
-    if not blocks:
-        return []
-    workers = min(_WORKERS, len(blocks))
-    size, extra = divmod(len(blocks), workers)
-    shards, start = [], 0
-    for k in range(workers):
-        stop = start + size + (k < extra)
-        shards.append(blocks[start:stop])
-        start = stop
-    if workers == 1 or getattr(_on_pool, "thread", False):
-        return [fn(shard) for shard in shards]
+    if len(items) <= 1 or _WORKERS == 1 or getattr(_on_pool, "thread", False):
+        return [fn(item) for item in items]
     pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, fn, shard) for shard in shards[1:]]
+    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items[1:]]
     try:
-        results = [fn(shards[0])]
+        results = [fn(items[0])]
     finally:
         for f in futures:
-            f.exception()  # wait, so no shard still writes when this returns or raises
+            f.exception()  # wait, so no item still writes when this returns or raises
     return results + [f.result() for f in futures]

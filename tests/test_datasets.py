@@ -13,7 +13,6 @@ from manifold_dsm.datasets import (
     sample_vmf,
     sample_vmf_mixture,
     skewed_pmf,
-    symmetrize_components,
 )
 from manifold_dsm.geometry import DiscreteSet, Sphere
 
@@ -153,18 +152,8 @@ def test_vmf_tangent_symmetry():
     assert np.all(np.abs(out[:, :2].mean(axis=0)) < 4.0 * se)
 
 
-def test_symmetrize_components():
-    comps = symmetrize_components((((0.0, 0.0, 0.0, 1.0), 40.0, 0.6), ((0.0, 0.0, 1.0, 0.0), 10.0, 0.4)))
-    assert len(comps) == 4
-    weights = [c[2] for c in comps]
-    assert abs(sum(weights) - 1.0) < 1e-15
-    assert weights == [0.3, 0.3, 0.2, 0.2]
-    np.testing.assert_allclose(np.asarray(comps[0][0]), -np.asarray(comps[1][0]))
-    assert comps[0][1] == comps[1][1] == 40.0
-
-
 def test_vmf_mixture_weights_and_parity():
-    comps = symmetrize_components((((1.0, 0.0, 0.0, 0.0), 30.0, 1.0),))
+    comps = (((1.0, 0.0, 0.0, 0.0), 30.0, 0.5), ((-1.0, -0.0, -0.0, -0.0), 30.0, 0.5))
     spec = DatasetSpec(kind="vmf_mixture", manifold_n=3, components=comps)
     out = sample_vmf_mixture(spec, 20000, seed=6)
     assert out.shape == (20000, 4)

@@ -17,7 +17,6 @@ from manifold_dsm.datasets import (
     sample_discrete,
     sample_vmf_mixture,
     skewed_pmf,
-    symmetrize_components,
 )
 from manifold_dsm.diffusion import NoiseSchedule, dsm_target, mad_target, perturb
 from manifold_dsm.errors import CheckpointFormatError, TrainingDivergedError
@@ -598,15 +597,17 @@ def test_training_steps_do_not_fault_pages_in(monkeypatch):
 
 
 # Row counts around the 512-row block: one row, a block and a row either side,
-# a one-row tail (1025), many blocks, and a 10k sampling batch with and
-# without a one-row tail.
-BLOCK_EDGE_ROWS = [1, 2, 511, 512, 513, 1025, 4096, 10000, 10001]
+# a one-row tail (1025), ranges of a block and a row at two and three workers
+# (1026, 1539), many blocks, and a 10k sampling batch with and without a
+# one-row tail.
+BLOCK_EDGE_ROWS = [1, 2, 511, 512, 513, 1025, 1026, 1539, 4096, 10000, 10001]
 
 
 def forward_bytes_by_workers(monkeypatch, params, cfg, x, sig):
-    """Forward output bytes at the process's worker count, one worker and three."""
+    """Forward output bytes at the process's worker count, and at one, two and
+    three workers."""
     out = [forward(params, cfg, x, sig).tobytes()]
-    for workers in (1, 3):
+    for workers in (1, 2, 3):
         monkeypatch.setattr(rowblocks, "_WORKERS", workers)
         out.append(forward(params, cfg, x, sig).tobytes())
     return out
@@ -623,7 +624,7 @@ def test_blocked_forward_matches_reference_bitwise(monkeypatch, activation, anti
     x = rng.standard_normal((rows, 2))
     sig = np.exp(rng.uniform(-6.0, 1.0, rows))
     want = ref_forward(params, cfg, x, sig).tobytes()
-    assert forward_bytes_by_workers(monkeypatch, params, cfg, x, sig) == [want] * 3
+    assert forward_bytes_by_workers(monkeypatch, params, cfg, x, sig) == [want] * 4
 
 
 @pytest.mark.parametrize(
@@ -637,7 +638,7 @@ def test_blocked_forward_matches_reference_at_sampling_size(monkeypatch, model, 
     params = randomized_params(cfg, 46)
     x = np.random.default_rng(47).standard_normal((10001, dim))
     want = ref_forward(params, cfg, x, 0.3).tobytes()
-    assert forward_bytes_by_workers(monkeypatch, params, cfg, x, 0.3) == [want] * 3
+    assert forward_bytes_by_workers(monkeypatch, params, cfg, x, 0.3) == [want] * 4
 
 
 def diverging_params():
@@ -989,9 +990,8 @@ def test_mad_starts_where_dsm_cannot_reach_on_uniform_ring():
 
 def test_mad_loss_below_dsm_on_sphere_mixture():
     # matched-seed short run on a parity-symmetric S^3 mixture
-    comps = symmetrize_components(
-        (((1.0, 0.0, 0.0, 0.0), 40.0, 0.5), ((0.0, 1.0, 0.0, 0.0), 40.0, 0.5))
-    )
+    comps = (((1.0, 0.0, 0.0, 0.0), 40.0, 0.25), ((-1.0, -0.0, -0.0, -0.0), 40.0, 0.25),
+             ((0.0, 1.0, 0.0, 0.0), 40.0, 0.25), ((-0.0, -1.0, -0.0, -0.0), 40.0, 0.25))
     spec = DatasetSpec(kind="vmf_mixture", manifold_n=3, components=comps)
     data = sample_vmf_mixture(spec, 4096, seed=0)
     cfg = MlpConfig(input_dim=4, hidden_dim=64, num_hidden_layers=3, antisymmetrize=True)

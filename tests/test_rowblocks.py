@@ -1,9 +1,10 @@
-"""Row blocks and the shard pool behind the blocked forward and base score."""
+"""Row ranges and the thread pool behind the blocked forward and the split backward."""
 
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -13,44 +14,52 @@ from manifold_dsm import rowblocks
 from manifold_dsm.mlp import MlpConfig, forward, init_params
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 511, 512, 513, 1024, 1025, 1026, 10001])
-def test_row_blocks_cover_the_batch_without_a_one_row_tail(n):
-    blocks = rowblocks.row_blocks(n)
-    assert [start for start, _ in blocks] == list(range(0, n, 512))[: len(blocks)]
-    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
-    assert (blocks[-1][1] if blocks else 0) == n
-    sizes = [stop - start for start, stop in blocks]
-    assert all(2 <= s <= 513 for s in sizes) or sizes == [1]
+def in_subprocess(script):
+    """Run a Python script in a fresh interpreter; it must print "ok"."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_map_shards_splits_blocks_into_contiguous_shards_in_order(monkeypatch, workers):
+def test_map_shards_returns_results_in_item_order(monkeypatch, workers):
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
-    blocks = rowblocks.row_blocks(5 * 512)
-    shards = rowblocks.map_shards(list, blocks)
-    assert len(shards) == min(workers, 5)
-    assert [b for shard in shards for b in shard] == blocks
-    assert max(map(len, shards)) - min(map(len, shards)) <= 1
-    assert rowblocks.map_shards(list, []) == []
+
+    def item(k):
+        time.sleep(0.01 * (5 - k))  # later items finish first
+        return k * k
+
+    assert rowblocks.map_shards(item, list(range(5))) == [0, 1, 4, 9, 16]
+    assert rowblocks.map_shards(item, []) == []
+
+
+@pytest.mark.parametrize("workers,items", [(1, 4), (3, 1)])
+def test_map_shards_runs_on_the_caller_with_one_item_or_one_worker(monkeypatch, workers, items):
+    monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+    names = rowblocks.map_shards(lambda _: threading.current_thread().name, list(range(items)))
+    assert names == [threading.current_thread().name] * items
 
 
 def test_map_shards_waits_for_every_shard_and_raises_the_first_failure(monkeypatch):
     monkeypatch.setattr(rowblocks, "_WORKERS", 3)
     done = []
 
-    def shard(blocks):
-        start = blocks[0][0]
-        if start == 0:
+    def item(k):
+        if k == 0 and not done:
             raise KeyError("first")
         time.sleep(0.05)
-        done.append(start)
-        if start == 1024:
-            raise ValueError("third")
-        return start
+        done.append(k)
+        if k:
+            raise ValueError(f"item {k}")
+        return k
 
     with pytest.raises(KeyError, match="first"):
-        rowblocks.map_shards(shard, rowblocks.row_blocks(3 * 512))
-    assert sorted(done) == [512, 1024]
+        rowblocks.map_shards(item, [0, 1, 2])
+    assert sorted(done) == [1, 2]
+    # the caller's item succeeds: the first failing pool item is raised
+    with pytest.raises(ValueError, match="item 1"):
+        rowblocks.map_shards(item, [0, 1, 2])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -68,30 +77,45 @@ def test_worker_rows_split_a_batch_of_a_block_or_more_once_per_worker(monkeypatc
 def test_map_shards_called_on_a_pool_thread_runs_inline():
     # with two workers the pool has one thread; a nested call that waited on
     # the pool from that thread would wait for itself forever
-    script = textwrap.dedent("""
+    in_subprocess("""
         import threading
         from manifold_dsm import rowblocks
 
         rowblocks._WORKERS = 2
-        blocks = rowblocks.row_blocks(4 * 512)
 
-        def inner(shard):
-            return threading.current_thread().name, shard
+        def inner(item):
+            return threading.current_thread().name, item
 
-        def outer(shard):
-            return rowblocks.map_shards(inner, shard)
+        def outer(items):
+            return rowblocks.map_shards(inner, items)
 
-        first, second = rowblocks.map_shards(outer, blocks)
-        assert [b for r in (first, second) for _, shard in r for b in shard] == blocks
+        first, second = rowblocks.map_shards(outer, [[0, 1], [2, 3]])
+        assert [item for r in (first, second) for _, item in r] == [0, 1, 2, 3]
         caller = threading.current_thread().name
-        assert first[0][0] == caller  # a nested call off the pool still spreads
+        assert first[0][0] == caller != first[1][0]  # a nested call off the pool still spreads
         assert second[0][0] == second[1][0] != caller
         print("ok")
     """)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=60)
-    assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
+
+
+def test_batches_under_a_block_never_start_the_pool():
+    # a training batch of 128 rows and a sampling batch of 511 are one range
+    # each, run on the calling thread
+    in_subprocess("""
+        import numpy as np
+        from manifold_dsm import rowblocks
+        from manifold_dsm.mlp import MlpConfig, backward, forward, init_params
+
+        rowblocks._WORKERS = 2
+        cfg = MlpConfig(input_dim=4, hidden_dim=64, activation="silu", antisymmetrize=True)
+        params = init_params(cfg, np.random.default_rng(0))
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((128, 4))
+        backward(params, cfg, x, rng.standard_normal((128, 4)), 0.3)
+        forward(params, cfg, rng.standard_normal((511, 4)), 0.3)
+        assert rowblocks._pool is None
+        print("ok")
+    """)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
