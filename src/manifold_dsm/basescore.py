@@ -154,12 +154,16 @@ def _sphere_score(x, sigma, n: int, ratio) -> np.ndarray:
 
     at z = ||x||/sigma^2, with rho(z) = ratio(z) = I_{(n-3)/2}(z) / I_{(n-1)/2}(z).
     rho - (n-1)/(2z) is the Bessel bracket (I_{(n-3)/2} + I_{(n+1)/2}) / (2 I_{(n-1)/2})
-    after the recurrence I_{nu-1} - I_{nu+1} = (2 nu / z) I_nu.
+    after the recurrence I_{nu-1} - I_{nu+1} = (2 nu / z) I_nu.  A sigma that
+    puts z below the smallest normal double raises ValueError.
     """
     x, sigma = _check_xy_sigma(x, sigma, n + 1)
     r = _sphere_radius(x)
     sig2 = np.broadcast_to(sigma, r.shape) ** 2
     z = r / sig2
+    if np.any(z < np.finfo(np.float64).tiny):
+        raise ValueError("sigma too large for the sphere score: ||x||/sigma^2 is below "
+                         "the smallest normal double")
     # this evaluation order fixes the bits of every seeded S^3 run
     radial = -1.0 / sig2 + (1 - n) / 2 / r**2 + (ratio(z) - (n - 1) / 2 * sig2 / r) / (sig2 * r)
     return x * radial[..., None]

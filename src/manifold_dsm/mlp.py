@@ -10,20 +10,25 @@ Training regresses sigma * output against a residual target (see diffusion):
 loss = mean over rows of ||sigma f - target||^2, so at the optimum f is the
 score itself (dsm) or the correction to the base score (mad).
 
-Everything is plain numpy.  Bias adds and activations run in place on each
-layer's matmul output, and every layer is checked for non-finite values.
+Parameters, gradients and both Adam moments are each one float64 vector laid
+out w0, b0, w1, b1, ...; the per-layer `weights` and `biases` are views into
+it.  Everything is plain numpy.  Bias adds and activations run in place on
+each layer's matmul output, and every layer is checked for non-finite values.
 
 Both `forward` and `backward` split their rows the same way: one contiguous
 range per CPU the process may use once a batch reaches 512 rows, else one
 range on the calling thread (`rowblocks.worker_rows`).
 
-`forward` (the sampler's path) walks each range in 512-row blocks: each block
-moves through two ping-pong scratch buffers that stay in L2, where one
-full-batch pass over 10k rows would write and re-read a 10 MB activation per
-layer.  Only the last hidden activation is kept for every row, and the
-output layer is one full-batch matmul over it: its narrow (hidden, dim) GEMM
-is the one that does not give the same bytes at every row count.  The output
-is therefore bitwise the full-batch result, at any CPU count.
+`forward` (the sampler's path) walks each range in 512-row blocks, and
+splits the last two evenly where the last would hold under 256 rows, since
+OpenBLAS runs a GEMM of a few rows through other kernels, whose bytes differ.
+Each block moves through two ping-pong scratch buffers that stay in L2,
+where one full-batch pass over 10k rows would write and re-read a 10 MB
+activation per layer.  Only the last hidden activation is kept for every
+row, and the output layer is one full-batch matmul over it: its narrow
+(hidden, dim) GEMM is the one that does not give the same bytes at every row
+count.  The output is therefore bitwise the full-batch result, at any CPU
+count.
 
 `backward` (the training path) runs in one workspace per thread, built once
 per (layer shapes, rows, activation, branch count): each branch's input,
@@ -32,20 +37,20 @@ weight-gradient products and relu mask or silu derivative the branches share.
 Each range runs the hidden layers and then, branch by branch, the input
 gradients g <- (g @ W.T) * act'; the caller runs the output layer and loss
 over the whole batch in between.  Each branch's weight gradients post.T @ g
-and g.sum(axis=0) are whole-batch, with layers dealt out over the workers,
-positive branch first.  So gradients are bitwise the one-thread result at any
-CPU count.  They are fresh zeroed arrays, so nothing returned aliases the
-workspace.
+and g.sum(axis=0) are whole-batch and added into the gradient vector, with
+layers dealt out over at most one item per layer, positive branch first.  So
+gradients are bitwise the one-thread result at any CPU count.  The gradient
+vector is a fresh zeroed array, so nothing returned aliases the workspace.
 
-Adam is the standard bias-corrected update, applied in place to the parameter
-and moment arrays.  The final layer initializes to zero so a fresh mad model
-starts exactly at the base score.
+Adam is the standard bias-corrected update, one pass of in-place numpy calls
+over the flat vectors, with two temporaries kept per thread.  The final layer
+initializes to zero so a fresh mad model starts exactly at the base score.
 
 Checkpoints are a small versioned binary container: magic, version, a JSON
-header (config, layer shapes, caller extras), the raw little-endian float64
-layer data, and a SHA-256 trailer over everything before it.  The header's
-config obeys the same JSON type rules (`json_fields`) as a run config's
-`model` section.
+header (config, layer shapes, caller extras), the parameter vector as raw
+little-endian float64, and a SHA-256 trailer over everything before it.  The
+header's config obeys the same JSON type rules (`json_fields`) as a run
+config's `model` section.
 """
 
 from __future__ import annotations
@@ -143,44 +148,61 @@ class MlpConfig:
         return list(zip(dims[:-1], dims[1:]))
 
 
-@dataclass
-class NetworkParams:
-    """Layer weights and biases with their Adam moments; moments not given start at zero."""
+def _flat_size(shapes) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in shapes)
 
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    m_w: list[np.ndarray] | None = None
-    v_w: list[np.ndarray] | None = None
-    m_b: list[np.ndarray] | None = None
-    v_b: list[np.ndarray] | None = None
+
+@dataclass
+class _FlatLayers:
+    """Per-layer arrays in one float64 vector `flat`, laid out w0, b0, w1, b1, ...
+    for layers of (fan_in, fan_out) `shapes`; `weights` and `biases` are views
+    into it."""
+
+    flat: np.ndarray
+    shapes: list[tuple[int, int]]
+
+    def __post_init__(self):
+        if self.flat.shape != (_flat_size(self.shapes),):
+            raise ValueError("flat vector does not match the layer shapes")
+        self.weights, self.biases, off = [], [], 0
+        for fan_in, fan_out in self.shapes:
+            self.weights.append(self.flat[off : off + fan_in * fan_out].reshape(fan_in, fan_out))
+            off += fan_in * fan_out
+            self.biases.append(self.flat[off : off + fan_out])
+            off += fan_out
+
+    def __reduce__(self):  # a copy builds its views over its own copy of flat
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+@dataclass
+class NetworkParams(_FlatLayers):
+    """Layer weights and biases in the flat layout, with Adam moments `m` and
+    `v` of the same size; moments not given start at zero."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step: int = 0
 
     def __post_init__(self):
-        for name, like in (("m_w", self.weights), ("v_w", self.weights),
-                           ("m_b", self.biases), ("v_b", self.biases)):
-            if getattr(self, name) is None:
-                setattr(self, name, [np.zeros_like(a) for a in like])
+        super().__post_init__()
+        self.m = np.zeros_like(self.flat) if self.m is None else self.m
+        self.v = np.zeros_like(self.flat) if self.v is None else self.v
 
 
-@dataclass
-class NetworkGrads:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+class NetworkGrads(_FlatLayers):
+    """Loss gradients in the parameters' flat layout."""
 
 
 def init_params(config: MlpConfig, rng: np.random.Generator) -> NetworkParams:
     """Scaled-uniform init, except the final layer which starts at zero."""
-    ws, bs = [], []
     shapes = config.layer_shapes()
-    for i, (fan_in, fan_out) in enumerate(shapes):
-        if i == len(shapes) - 1:
-            ws.append(np.zeros((fan_in, fan_out)))
-            bs.append(np.zeros(fan_out))
-        else:
-            bound = 1.0 / np.sqrt(fan_in)
-            ws.append(rng.uniform(-bound, bound, (fan_in, fan_out)))
-            bs.append(rng.uniform(-bound, bound, fan_out))
-    return NetworkParams(weights=ws, biases=bs)
+    params = NetworkParams(np.zeros(_flat_size(shapes)), shapes)
+    for w, b in zip(params.weights[:-1], params.biases):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[:] = rng.uniform(-bound, bound, w.shape)
+        b[:] = rng.uniform(-bound, bound, b.shape)
+    return params
 
 
 def _embed_sigma(config: MlpConfig, sigma: np.ndarray, n: int) -> np.ndarray:
@@ -244,12 +266,13 @@ def _output_layer(params: NetworkParams, h: np.ndarray, out=None) -> np.ndarray:
 def _blocked_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray) -> np.ndarray:
     """Run the raw MLP on pre-assembled input h, one row range per worker.
 
-    Each range walks its rows in blocks of up to BLOCK_ROWS + 1 rows; a block
-    runs every hidden layer through two ping-pong scratch buffers and writes
-    its last hidden activation into one (n, hidden) array, and the output
-    layer is one full-batch matmul over that array.  A block stops at its
-    first non-finite layer, and the lowest such layer over all blocks is the
-    one reported, as a full-batch pass checking layer by layer would.
+    Each range walks its rows in blocks of BLOCK_ROWS // 2 to BLOCK_ROWS rows,
+    or one block if the range is shorter.  A block runs every hidden layer
+    through two ping-pong scratch buffers and writes its last hidden
+    activation into one (n, hidden) array, and the output layer is one
+    full-batch matmul over that array.  A block stops at its first non-finite
+    layer, and the lowest such layer over all blocks is the one reported, as
+    a full-batch pass checking layer by layer would.
     """
     n = h.shape[0]
     layers = len(params.weights) - 1
@@ -258,9 +281,12 @@ def _blocked_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray) ->
 
     def run_range(bounds):
         lo, hi = bounds
-        # no one-row block: numpy sends a one-row GEMM to GEMV, whose bytes differ
-        edges = [lo, *range(lo + BLOCK_ROWS, hi - 1, BLOCK_ROWS), hi]
-        rows = min(hi - lo, BLOCK_ROWS + 1)
+        # no short last block: OpenBLAS sends a GEMM of a few rows to other
+        # kernels (GEMV for one row), whose bytes differ
+        edges = [lo, *range(lo + BLOCK_ROWS, hi, BLOCK_ROWS), hi]
+        if len(edges) > 2 and hi - edges[-2] < BLOCK_ROWS // 2:
+            edges[-2] = (edges[-3] + hi) // 2
+        rows = min(hi - lo, BLOCK_ROWS)
         bufs = [np.empty((rows, config.hidden_dim)) for _ in range(2)]
         sg = np.empty((rows, config.hidden_dim)) if silu else None
         failed = []
@@ -290,7 +316,8 @@ def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     return out
 
 
-# the calling thread's training workspace, if any (see the module docstring)
+# the calling thread's training workspace and Adam temporaries, if any (see
+# the module docstring)
 _workspaces = threading.local()
 
 
@@ -355,11 +382,9 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     resid = sig * out - t
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
     d_out = 2.0 * sig * resid / n
-    grads = NetworkGrads(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
-    layers = [range(k, len(grads.weights), len(rows)) for k in range(len(rows))]
+    grads = NetworkGrads(np.zeros_like(params.flat), params.shapes)
+    parts = min(len(rows), len(params.shapes))
+    layers = [range(k, len(params.shapes), parts) for k in range(parts)]
     upstreams = (0.5 * d_out, -0.5 * d_out) if config.antisymmetrize else (d_out,)
     for h, zs, sgs, acts, up in zip(ws.inputs, ws.zs, ws.sgs, ws.acts, upstreams):
         g = ws.ups + [up]  # g[i]: this branch's loss gradient at layer i's matmul output
@@ -390,6 +415,14 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     return loss, grads
 
 
+def _adam_scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The calling thread's two Adam temporaries for a parameter vector of size."""
+    scratch = getattr(_workspaces, "adam", None)
+    if scratch is None or scratch[0].size != size:
+        scratch = _workspaces.adam = (np.empty(size), np.empty(size))
+    return scratch
+
+
 def adam_step(
     params: NetworkParams,
     grads: NetworkGrads,
@@ -398,41 +431,37 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> NetworkParams:
-    """Standard bias-corrected Adam, applied in place.
+    """Standard bias-corrected Adam, applied in place as one pass over the
+    flat vectors.
 
-    Weights, biases and both moments are overwritten in the arrays `params`
-    already owns; the same object is returned with its step advanced.  Moment
-    and gradient lists must match the parameter lists in length; a mismatch
-    raises ValueError before anything is updated.
+    The parameters and both moments are overwritten in the arrays `params`
+    already owns; the same object is returned with its step advanced.  The
+    gradient and moment vectors must match the parameter vector in size; a
+    mismatch raises ValueError before anything is updated.
     """
-    groups = (
-        (params.weights, grads.weights, params.m_w, params.v_w),
-        (params.biases, grads.biases, params.m_b, params.v_b),
-    )
-    for ps, *others in groups:
-        if any(len(other) != len(ps) for other in others):
-            raise ValueError("moment and gradient lists must match the parameter lists")
+    p, g, m, v = params.flat, grads.flat, params.m, params.v
+    if not p.shape == g.shape == m.shape == v.shape:
+        raise ValueError("gradient and moment vectors must match the parameter vector in size")
     t = params.step + 1
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-    for ps, gs, ms, vs in groups:
-        for p, g, m, v in zip(ps, gs, ms, vs):
-            # same rounding as p - lr * (m/c1) / (sqrt(v/c2) + eps) with
-            # m = beta1 m + (1-beta1) g and v = beta2 v + ((1-beta2) g) g
-            step = np.multiply(g, 1.0 - beta1)
-            m *= beta1
-            m += step
-            denom = np.multiply(g, 1.0 - beta2)
-            denom *= g
-            v *= beta2
-            v += denom
-            np.divide(v, c2, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += eps
-            np.divide(m, c1, out=step)
-            step *= lr
-            step /= denom
-            p -= step
+    step, denom = _adam_scratch(p.size)
+    # same rounding as p - lr * (m/c1) / (sqrt(v/c2) + eps) with
+    # m = beta1 m + (1-beta1) g and v = beta2 v + ((1-beta2) g) g
+    np.multiply(g, 1.0 - beta1, out=step)
+    m *= beta1
+    m += step
+    np.multiply(g, 1.0 - beta2, out=denom)
+    denom *= g
+    v *= beta2
+    v += denom
+    np.divide(v, c2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += eps
+    np.divide(m, c1, out=step)
+    step *= lr
+    step /= denom
+    p -= step
     params.step = t
     return params
 
@@ -484,7 +513,7 @@ def train(
             params = adam_step(params, grads, lr)
             curve[step] = loss
     finally:
-        _workspaces.ws = None
+        _workspaces.ws = _workspaces.adam = None
     return params, curve
 
 
@@ -500,9 +529,7 @@ def save_checkpoint(path, params: NetworkParams, config: MlpConfig, extras: dict
     blob += _MAGIC
     blob += struct.pack("<II", _VERSION, len(hdr))
     blob += hdr
-    for w, b in zip(params.weights, params.biases):
-        blob += np.ascontiguousarray(w, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(b, dtype="<f8").tobytes()
+    blob += params.flat.astype("<f8", copy=False).tobytes()
     blob += hashlib.sha256(bytes(blob)).digest()
     with open(path, "wb") as fh:
         fh.write(bytes(blob))
@@ -536,15 +563,9 @@ def load_checkpoint(path):
     shapes = config.layer_shapes()
     if header.get("layer_shapes") != [list(s) for s in shapes]:
         raise CheckpointFormatError("layer shapes in header disagree with config")
-    ws, bs = [], []
-    for fan_in, fan_out in shapes:
-        nbytes = fan_in * fan_out * 8
-        if off + nbytes + fan_out * 8 > len(blob) - 32:
-            raise CheckpointFormatError("layer data truncated")
-        ws.append(np.frombuffer(blob, dtype="<f8", count=fan_in * fan_out, offset=off).reshape(fan_in, fan_out).copy())
-        off += nbytes
-        bs.append(np.frombuffer(blob, dtype="<f8", count=fan_out, offset=off).copy())
-        off += fan_out * 8
-    if off != len(blob) - 32:
-        raise CheckpointFormatError("trailing bytes after layer data")
-    return NetworkParams(weights=ws, biases=bs), config, header.get("extras", {})
+    size = _flat_size(shapes)
+    if off + size * 8 != len(blob) - 32:
+        raise CheckpointFormatError("layer data truncated" if off + size * 8 > len(blob) - 32
+                                    else "trailing bytes after layer data")
+    flat = np.frombuffer(blob, dtype="<f8", count=size, offset=off).astype(np.float64)
+    return NetworkParams(flat, shapes), config, header.get("extras", {})

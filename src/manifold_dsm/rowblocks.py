@@ -11,6 +11,10 @@ tests compare byte for byte with full-batch reference passes.
 The calling thread runs the first range and a pool, created on first use,
 the others.  Pool threads run their range in a copy of the caller's
 `contextvars` context, so `np.errstate` set by the caller holds there too.
+
+When the pool starts it sets numpy's bundled OpenBLAS to one thread, whose
+own threads would compete with the pool's for the same CPUs.  A thread count
+set in the environment wins, and a BLAS this does not recognise is left alone.
 """
 
 from __future__ import annotations
@@ -47,12 +51,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
+def _one_blas_thread() -> None:
+    if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+        import ctypes
+
+        import numpy as np
+
+        try:  # numpy's extension module resolves the symbols of the BLAS it links
+            ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_(1)
+        except (AttributeError, OSError):
+            pass
+
+
 def _executor():
     global _pool
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
+            _one_blas_thread()
             _pool = ThreadPoolExecutor(max_workers=max(_WORKERS - 1, 1),
                                        thread_name_prefix="rowblocks",
                                        initializer=setattr, initargs=(_on_pool, "thread", True))

@@ -204,6 +204,18 @@ def test_scores_reject_non_finite_sigma(case, bad):
                 fn(xs, sigma)
 
 
+# sigma^2 is finite but ||x||/sigma^2 is subnormal at ||x|| = 1: the score
+# would need the Bessel ratio where its argument has lost precision
+@pytest.mark.parametrize("case", ["s2", "s3", "s5"])
+def test_sphere_scores_reject_sigma_past_the_normal_range(case):
+    fn, x = NON_FINITE_SIGMA_CASES[case]
+    x = x / np.linalg.norm(x)
+    for xs, sigma in ((x, 1.3e154), (np.stack([x, x]), np.array([0.5, 1.3e154]))):
+        with pytest.raises(ValueError, match="sigma too large"):
+            fn(xs, sigma)
+    assert np.all(np.isfinite(fn(x, 1e153)))
+
+
 def test_tiny_sigma_stays_finite_and_restoring():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((50, 4))

@@ -1,6 +1,7 @@
 """Network module: forward/backward exactness, Adam, training, checkpoints."""
 
 import copy
+import dataclasses
 import hashlib
 import json
 import struct
@@ -310,10 +311,7 @@ def ref_backward(params, config, x, residual_target, sigma):
     resid = sig * out - t
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
     d_out = 2.0 * sig * resid / n
-    grads = NetworkGrads(
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
+    grads = NetworkGrads(np.zeros_like(params.flat), params.shapes)
     if config.antisymmetrize:
         ref_backprop_branch(params, config, pre_pos, post_pos, 0.5 * d_out, grads)
         ref_backprop_branch(params, config, pre_neg, post_neg, -0.5 * d_out, grads)
@@ -326,28 +324,11 @@ def ref_adam_step(params, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     t = params.step + 1
     c1 = 1.0 - beta1**t
     c2 = 1.0 - beta2**t
-
-    def upd(p, g, m, v):
-        m2 = beta1 * m + (1.0 - beta1) * g
-        v2 = beta2 * v + (1.0 - beta2) * g * g
-        p2 = p - lr * (m2 / c1) / (np.sqrt(v2 / c2) + eps)
-        return p2, m2, v2
-
-    new_w, new_mw, new_vw = [], [], []
-    for p, g, m, v in zip(params.weights, grads.weights, params.m_w, params.v_w):
-        p2, m2, v2 = upd(p, g, m, v)
-        new_w.append(p2)
-        new_mw.append(m2)
-        new_vw.append(v2)
-    new_b, new_mb, new_vb = [], [], []
-    for p, g, m, v in zip(params.biases, grads.biases, params.m_b, params.v_b):
-        p2, m2, v2 = upd(p, g, m, v)
-        new_b.append(p2)
-        new_mb.append(m2)
-        new_vb.append(v2)
-    return NetworkParams(
-        weights=new_w, biases=new_b, m_w=new_mw, v_w=new_vw, m_b=new_mb, v_b=new_vb, step=t
-    )
+    g = grads.flat
+    m = beta1 * params.m + (1.0 - beta1) * g
+    v = beta2 * params.v + (1.0 - beta2) * g * g
+    flat = params.flat - lr * (m / c1) / (np.sqrt(v / c2) + eps)
+    return NetworkParams(flat, params.shapes, m=m, v=v, step=t)
 
 
 def assert_same_bits(a, b):
@@ -358,7 +339,7 @@ def assert_same_bits(a, b):
 
 
 def state_arrays(params):
-    return params.weights + params.biases + params.m_w + params.v_w + params.m_b + params.v_b
+    return [params.flat, params.m, params.v]
 
 
 NET_VARIANTS = pytest.mark.parametrize(
@@ -597,9 +578,9 @@ def test_training_steps_do_not_fault_pages_in(monkeypatch):
 
 
 # Row counts around the 512-row block: one row, a block and a row either side,
-# a one-row tail (1025), ranges of a block and a row at two and three workers
-# (1026, 1539), many blocks, and a 10k sampling batch with and without a
-# one-row tail.
+# two blocks and a row (1025), ranges of a block and a row at two and three
+# workers (1026, 1539), many blocks, and a 10k sampling batch with and
+# without a row past its last full block.
 BLOCK_EDGE_ROWS = [1, 2, 511, 512, 513, 1025, 1026, 1539, 4096, 10000, 10001]
 
 
@@ -619,6 +600,22 @@ def test_blocked_forward_matches_reference_bitwise(monkeypatch, activation, anti
                                                    embedding, fdim, rows):
     cfg = tiny_config(hidden_dim=16, num_hidden_layers=3, activation=activation,
                       antisymmetrize=antisym, sigma_embedding=embedding, fourier_dim=fdim)
+    params = randomized_params(cfg, 44)
+    rng = np.random.default_rng(45)
+    x = rng.standard_normal((rows, 2))
+    sig = np.exp(rng.uniform(-6.0, 1.0, rows))
+    want = ref_forward(params, cfg, x, sig).tobytes()
+    assert forward_bytes_by_workers(monkeypatch, params, cfg, x, sig) == [want] * 4
+
+
+# At width 512 OpenBLAS runs a GEMM of two or three rows through other
+# kernels than a longer one, so no block may be that short: cut every 512
+# rows alone, each of these row counts would end on a 2-3 row block at one
+# worker.
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+@pytest.mark.parametrize("rows", [515, 1026, 1539])
+def test_blocked_forward_matches_reference_bitwise_at_width_512(monkeypatch, activation, rows):
+    cfg = tiny_config(hidden_dim=512, num_hidden_layers=3, activation=activation)
     params = randomized_params(cfg, 44)
     rng = np.random.default_rng(45)
     x = rng.standard_normal((rows, 2))
@@ -784,6 +781,25 @@ def test_split_backward_is_stable_under_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+def test_weight_gradient_round_sends_no_empty_items(monkeypatch):
+    # eight workers, four layers: the round deals one layer to each of four
+    # items rather than sending four empty ones through the pool
+    monkeypatch.setattr(rowblocks, "_WORKERS", 8)
+    monkeypatch.setattr(rowblocks, "_pool", None)
+    rounds = []
+
+    def recording(fn, items, _real=mlp.map_shards):
+        rounds.append((fn.__name__, items))
+        return _real(fn, items)
+
+    monkeypatch.setattr(mlp, "map_shards", recording)
+    params, x, target, sig = backward_case(RING_RELU128, 1024, 56)
+    assert_same_loss_and_grads(backward(params, RING_RELU128, x, target, sig),
+                               ref_backward(params, RING_RELU128, x, target, sig))
+    parts = [items for name, items in rounds if name == "weight_gradients"]
+    assert [[list(part) for part in items] for items in parts] == [[[0], [1], [2], [3]]]
+
+
 def loss_of(params, cfg, x, target, sig):
     loss, _ = backward(params, cfg, x, target, sig)
     return loss
@@ -823,22 +839,17 @@ def test_gradients_match_finite_differences(antisym, embedding, fdim, loss_kind)
     assert worst < 1e-3
 
 
+ONE_LAYER = [(1, 1)]
+
+
 def one_param_state(value):
-    w = [np.array([[value]])]
-    b = [np.array([0.25])]
-    return NetworkParams(
-        weights=w,
-        biases=b,
-        m_w=[np.zeros((1, 1))],
-        v_w=[np.zeros((1, 1))],
-        m_b=[np.zeros(1)],
-        v_b=[np.zeros(1)],
-    )
+    """A 1 -> 1 layer: weight value, bias 0.25, zero moments."""
+    return NetworkParams(np.array([value, 0.25]), ONE_LAYER, m=np.zeros(2), v=np.zeros(2))
 
 
 def test_adam_zero_gradient_is_identity():
     params = one_param_state(0.5)
-    grads = NetworkGrads(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+    grads = NetworkGrads(np.zeros(2), ONE_LAYER)
     out = adam_step(params, grads, lr=0.01)
     assert out.weights[0][0, 0] == 0.5
     assert out.biases[0][0] == 0.25
@@ -848,18 +859,18 @@ def test_adam_zero_gradient_is_identity():
 def test_adam_first_step_closed_form():
     g = 0.3
     params = one_param_state(0.5)
-    grads = NetworkGrads(weights=[np.array([[g]])], biases=[np.zeros(1)])
+    grads = NetworkGrads(np.array([g, 0.0]), ONE_LAYER)
     out = adam_step(params, grads, lr=0.01)
     # bias correction cancels at t=1: update is lr * g / (|g| + eps)
     assert abs(out.weights[0][0, 0] - (0.5 - 0.01 * g / (g + 1e-8))) < 1e-15
-    assert abs(out.m_w[0][0, 0] - 0.1 * g) < 1e-17
-    assert abs(out.v_w[0][0, 0] - 0.001 * g * g) < 1e-18
+    assert abs(out.m[0] - 0.1 * g) < 1e-17
+    assert abs(out.v[0] - 0.001 * g * g) < 1e-18
     assert out.biases[0][0] == 0.25
 
 
 def test_adam_updates_params_built_without_moments():
-    grads = NetworkGrads(weights=[np.array([[0.3]])], biases=[np.array([-0.2])])
-    bare = NetworkParams(weights=[np.array([[0.5]])], biases=[np.array([0.25])])
+    grads = NetworkGrads(np.array([0.3, -0.2]), ONE_LAYER)
+    bare = NetworkParams(np.array([0.5, 0.25]), ONE_LAYER)
     out = adam_step(bare, grads, lr=0.01)
     ref = adam_step(one_param_state(0.5), grads, lr=0.01)
     assert out.step == 1
@@ -868,52 +879,38 @@ def test_adam_updates_params_built_without_moments():
         assert np.array_equal(a, b)
 
 
-def test_adam_rejects_mismatched_lists():
-    grads = NetworkGrads(weights=[np.array([[0.3]])], biases=[np.zeros(1)])
+def test_adam_rejects_mismatched_sizes():
+    # a gradient or moment vector of another size raises before anything
+    # is updated
+    two_layers = [(1, 1), (1, 1)]
+    grads = NetworkGrads(np.ones(4), two_layers)
+    for moment in ("m", "v"):
+        params = NetworkParams(np.ones(4), two_layers)
+        setattr(params, moment, np.zeros(2))
+        before = [a.copy() for a in state_arrays(params)]
+        with pytest.raises(ValueError, match="size"):
+            adam_step(params, grads, lr=0.1)
+        assert all(np.array_equal(a, b) for a, b in zip(state_arrays(params), before, strict=True))
+        assert params.step == 0
     params = one_param_state(0.5)
-    params.m_w = []
-    with pytest.raises(ValueError):
-        adam_step(params, grads, lr=0.01)
-    two_layers = NetworkGrads(weights=grads.weights * 2, biases=grads.biases * 2)
-    with pytest.raises(ValueError):
-        adam_step(one_param_state(0.5), two_layers, lr=0.01)
-    # a list that falls short at layer 1 leaves layer 0 untouched as well
-    params = NetworkParams(weights=[np.ones((1, 1)), np.ones((1, 1))],
-                           biases=[np.zeros(1), np.zeros(1)])
-    params.m_w = params.m_w[:1]
-
-    def arrays(p):
-        return [a for group in (p.weights, p.biases, p.m_w, p.v_w, p.m_b, p.v_b) for a in group]
-
-    before = [a.copy() for a in arrays(params)]
-    grads = NetworkGrads(weights=[np.ones((1, 1))] * 2, biases=[np.ones(1)] * 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="size"):
         adam_step(params, grads, lr=0.1)
-    assert all(np.array_equal(a, b) for a, b in zip(arrays(params), before, strict=True))
-    assert params.step == 0
+    assert params.flat.tolist() == [0.5, 0.25] and params.step == 0
 
 
 def test_adam_converges_on_least_squares_toy():
     # min over W of ||W x - b||^2 via manually supplied gradients
     x = np.array([1.0, 0.5])
     b = np.array([0.3, -0.2])
-    params = NetworkParams(
-        weights=[np.zeros((2, 2))],
-        biases=[np.zeros(2)],
-        m_w=[np.zeros((2, 2))],
-        v_w=[np.zeros((2, 2))],
-        m_b=[np.zeros(2)],
-        v_b=[np.zeros(2)],
-    )
+    params = NetworkParams(np.zeros(6), [(2, 2)])
+    grads = NetworkGrads(np.zeros(6), [(2, 2)])
     first = None
     for _ in range(200):
         resid = params.weights[0].T @ x - b
         if first is None:
             first = float(np.linalg.norm(resid))
-        g = np.outer(x, 2.0 * resid)
-        params = adam_step(
-            params, NetworkGrads(weights=[g], biases=[np.zeros(2)]), lr=0.05
-        )
+        grads.weights[0][:] = np.outer(x, 2.0 * resid)
+        params = adam_step(params, grads, lr=0.05)
     final = float(np.linalg.norm(params.weights[0].T @ x - b))
     assert first > 0.3
     assert final < 1e-3
@@ -1013,14 +1010,45 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded, cfg2, extras2 = load_checkpoint(path)
     assert cfg2 == cfg
     assert extras2 == extras
-    for a, b in zip(loaded.weights + loaded.biases, params.weights + params.biases):
-        assert np.array_equal(a, b)
+    assert loaded.flat.tobytes() == params.flat.tobytes()
     # Adam state is not persisted
     assert loaded.step == 0
-    assert all(np.all(m == 0.0) for m in loaded.m_w + loaded.v_w + loaded.m_b + loaded.v_b)
+    assert np.all(loaded.m == 0.0) and np.all(loaded.v == 0.0)
     # identical outputs after the roundtrip
     x = np.random.default_rng(31).standard_normal((5, 2))
     assert np.array_equal(forward(params, cfg, x, 0.3), forward(loaded, cfg2, x, 0.3))
+
+
+def test_checkpoint_bytes_follow_the_documented_format(tmp_path):
+    cfg = tiny_config(antisymmetrize=True)
+    params = randomized_params(cfg, 33)
+    params.biases[0][0] = -0.0
+    extras = {"loss_kind": "mad", "note": "pin"}
+    save_checkpoint(tmp_path / "net.bin", params, cfg, extras)
+    header = json.dumps({"config": dataclasses.asdict(cfg),
+                         "layer_shapes": [list(s) for s in cfg.layer_shapes()],
+                         "extras": extras}, sort_keys=True).encode("utf-8")
+    blob = b"SCORENET" + struct.pack("<II", 1, len(header)) + header
+    for w, b in zip(params.weights, params.biases):
+        blob += w.astype("<f8").tobytes() + b.astype("<f8").tobytes()
+    blob += hashlib.sha256(blob).digest()
+    assert (tmp_path / "net.bin").read_bytes() == blob
+
+
+def test_params_are_views_into_one_flat_vector():
+    cfg = tiny_config()
+    params = init_params(cfg, np.random.default_rng(34))
+    layers = [a.ravel() for pair in zip(params.weights, params.biases) for a in pair]
+    assert all(np.shares_memory(a, params.flat) for a in layers)
+    assert params.flat.tobytes() == np.concatenate(layers).tobytes()
+    assert params.m.shape == params.v.shape == params.flat.shape
+    # a copy's views point into the copy's own vector
+    twin = copy.deepcopy(params)
+    twin.flat[:] = 1.0
+    assert all(np.all(w == 1.0) for w in twin.weights + twin.biases)
+    assert not np.shares_memory(twin.weights[0], params.flat)
+    with pytest.raises(ValueError, match="layer shapes"):
+        NetworkParams(np.zeros(params.flat.size - 1), params.shapes)
 
 
 def rebuild_blob(blob, version=None, header_edit=None, extra_payload=b""):
@@ -1066,6 +1094,11 @@ def test_checkpoint_corruption_cases(tmp_path):
 
     bad.write_bytes(rebuild_blob(blob, version=99))
     with pytest.raises(CheckpointFormatError, match="version"):
+        load_checkpoint(bad)
+
+    short = blob[:-48]
+    bad.write_bytes(short + hashlib.sha256(short).digest())
+    with pytest.raises(CheckpointFormatError, match="layer data truncated"):
         load_checkpoint(bad)
 
     bad.write_bytes(rebuild_blob(blob, extra_payload=b"\x00" * 16))

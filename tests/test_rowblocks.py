@@ -14,9 +14,9 @@ from manifold_dsm import rowblocks
 from manifold_dsm.mlp import MlpConfig, forward, init_params
 
 
-def in_subprocess(script):
-    """Run a Python script in a fresh interpreter; it must print "ok"."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+def in_subprocess(script, env=os.environ):
+    """Run a Python script in a fresh interpreter with env; it must print "ok"."""
+    env = {**env, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0 and done.stdout.strip() == "ok", done.stderr
@@ -116,6 +116,38 @@ def test_batches_under_a_block_never_start_the_pool():
         assert rowblocks._pool is None
         print("ok")
     """)
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def bundled_openblas():
+    import ctypes
+
+    try:
+        return ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+    except (AttributeError, OSError):
+        return None
+
+
+@pytest.mark.skipif(bundled_openblas() is None, reason="numpy without its bundled OpenBLAS")
+@pytest.mark.parametrize("setting", [None, *BLAS_THREAD_VARS])
+def test_pool_start_sets_one_blas_thread_unless_the_environment_does(setting):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if setting:
+        env[setting] = "2"
+    in_subprocess(f"""
+        import ctypes
+        import numpy as np
+        from manifold_dsm import rowblocks
+
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+        before = get()
+        rowblocks._WORKERS = 2
+        assert rowblocks.map_shards(abs, [-1, -2]) == [1, 2] and rowblocks._pool is not None
+        assert get() == (before if {bool(setting)} else 1), (before, get())
+        print("ok")
+    """, env)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
