@@ -125,7 +125,7 @@ def base_score_discrete(x, sigma, support) -> np.ndarray:
     """(posterior mean - x)/sigma^2 for the uniform discrete measure."""
     points = _points_of(support)
     x, sigma = _check_xy_sigma(x, sigma, points.shape[1])
-    return _score_from_mean(posterior_mean_discrete(x, sigma, points), x, sigma)
+    return _score_from_mean(_softmax_weights(x, sigma, points) @ points, x, sigma)
 
 
 def exact_score_discrete(x, sigma, points, probs) -> np.ndarray:

@@ -6,10 +6,11 @@ checkpoint or sample files, since checkpoints embed the manifold, schedule,
 and loss kind in their header.
 
 Each config section is one frozen dataclass: `dataset` is `DatasetSpec`,
-`model` is `MlpConfig` (its `input_dim` is the manifold's), and `manifold`,
-`schedule` and `training` are declared here.  `from_dict` parses a section;
-an unknown key, a value of the wrong JSON type, a non-finite number or a
-value the class rejects exits 1 with `error: <section>: ...`.
+`schedule` is `NoiseSchedule`, `model` is `MlpConfig` (its `input_dim` is the
+manifold's), and `manifold` and `training` are declared here.  `from_dict`
+parses a section; an unknown key, a value of the wrong JSON type, a
+non-finite number or a value the class rejects exits 1 with
+`error: <section>: ...`.
 
 Every command that writes artifacts also writes `<command>.config.json` into
 the output directory: the fields of the config objects the run used, defaults
@@ -91,16 +92,6 @@ class ManifoldConfig:
 
 
 @dataclass(frozen=True)
-class ScheduleConfig:
-    sigma_min: float = 1e-4
-    sigma_max: float = 2.0
-    num_scales: int = 100
-
-    def build(self) -> NoiseSchedule:
-        return NoiseSchedule.geometric(self.sigma_min, self.sigma_max, self.num_scales)
-
-
-@dataclass(frozen=True)
 class TrainingConfig:
     loss_kind: str = "mad"
     steps: int = 2000
@@ -177,12 +168,13 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_samples_csv(path: Path, arr: np.ndarray) -> None:
-    cols = ",".join(f"x{i}" for i in range(arr.shape[1]))
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header, then each row as it comes: an int as written, any
+    other value as its float's round-trip repr."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cols + "\n")
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) + "\n")
 
 
 def _read_samples_csv(path) -> np.ndarray:
@@ -201,14 +193,10 @@ def _read_samples_csv(path) -> np.ndarray:
         return np.empty((0, width))
     if data.shape[1] != width:
         raise ConfigError(f"{path}: header names {width} columns, rows have {data.shape[1]}")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ConfigError(f"{path}: sample row {bad[0] + 1} holds a non-finite value")
     return data
-
-
-def _write_loss_csv(path: Path, curve: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,loss\n")
-        for i, v in enumerate(curve):
-            fh.write(f"{i},{repr(float(v))}\n")
 
 
 # ----------------------------------------------------------- subcommands ----
@@ -220,7 +208,7 @@ def cmd_make_data(args) -> int:
     spec = from_dict(DatasetSpec, cfg, "dataset", **seed)
     out = _ensure_out(args.out, cfg)
     samples, _, _ = _checked("dataset", build_dataset, spec, args.n, spec.seed)
-    _write_samples_csv(out / "data.csv", samples)
+    _write_csv(out / "data.csv", [f"x{i}" for i in range(samples.shape[1])], samples)
     _write_json(out / "make-data.config.json", {"dataset": asdict(spec), "n": args.n})
     print(f"wrote {samples.shape[0]} samples to {out / 'data.csv'}")
     return 0
@@ -230,8 +218,7 @@ def cmd_train(args) -> int:
     cfg = _load_json(args.config)
     spec = from_dict(DatasetSpec, cfg, "dataset")
     manifold_cfg, manifold = _manifold(cfg)
-    schedule_cfg = from_dict(ScheduleConfig, cfg, "schedule")
-    schedule = _checked("schedule", schedule_cfg.build)
+    schedule = from_dict(NoiseSchedule, cfg, "schedule")
     seed = {} if args.seed is None else {"seed": args.seed}
     training = from_dict(TrainingConfig, cfg, "training", **seed)
 
@@ -253,12 +240,12 @@ def cmd_train(args) -> int:
         seed=training.seed,
     )
     record = {"dataset": asdict(spec), "manifold": manifold_cfg.record(),
-              "schedule": asdict(schedule_cfg), "model": asdict(model),
+              "schedule": asdict(schedule), "model": asdict(model),
               "training": asdict(training)}
     extras = {"loss_kind": training.loss_kind,
               **{name: record[name] for name in ("manifold", "schedule", "dataset")}}
     save_checkpoint(out / "checkpoint.bin", params, model, extras)
-    _write_loss_csv(out / "loss.csv", curve)
+    _write_csv(out / "loss.csv", ["step", "loss"], enumerate(curve))
     _write_json(out / "train.config.json", {**record, "out_dir": str(out)})
     message = f"trained {training.steps} steps"
     if curve.size:
@@ -278,7 +265,7 @@ def _score_field(params, model, loss_kind, manifold):
 def cmd_sample(args) -> int:
     if args.n < 0:
         raise ConfigError("--n must be nonnegative")
-    if args.seed is not None and args.seed < 0:
+    if args.seed < 0:
         raise ConfigError("--seed must be nonnegative")
     params, model, extras = load_checkpoint(args.checkpoint)
     for key in ("loss_kind", "manifold", "schedule"):
@@ -289,23 +276,21 @@ def cmd_sample(args) -> int:
         raise ConfigError("checkpoint manifold does not match the network input dimension")
     # finer generation grids reduce integrator bias without retraining
     scales = {} if args.num_scales is None else {"num_scales": args.num_scales}
-    schedule_cfg = from_dict(ScheduleConfig, extras, "schedule", **scales)
-    schedule = _checked("schedule", schedule_cfg.build)
+    schedule = from_dict(NoiseSchedule, extras, "schedule", **scales)
 
-    seed = 0 if args.seed is None else args.seed
     field = _score_field(params, model, extras["loss_kind"], manifold)
-    samples = reverse_sample(field, schedule, args.n, manifold, np.random.default_rng(seed))
+    samples = reverse_sample(field, schedule, args.n, manifold, np.random.default_rng(args.seed))
     out = _ensure_out(args.out, None)
     if args.n > 0:
         # measured before --project snaps the samples onto the support
         report = manifold_drift(samples, manifold)
-        report = replace(report, config={**report.config, "seed": seed,
+        report = replace(report, config={**report.config, "seed": args.seed,
                                          "projected": args.project, "stage": "pre_projection"})
         append_metric(out / "metrics.log", report)
         print(format_line(report))
     if args.project:
         samples = project(samples, manifold)
-    _write_samples_csv(out / "samples.csv", samples)
+    _write_csv(out / "samples.csv", [f"x{i}" for i in range(samples.shape[1])], samples)
     _write_json(
         out / "sample.config.json",
         {
@@ -314,8 +299,8 @@ def cmd_sample(args) -> int:
             "manifold": manifold_cfg.record(),
             "n": args.n,
             "project": args.project,
-            "schedule": asdict(schedule_cfg),
-            "seed": seed,
+            "schedule": asdict(schedule),
+            "seed": args.seed,
         },
     )
     print(f"wrote {args.n} samples to {out / 'samples.csv'}")
@@ -360,7 +345,6 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     kind = "sphere" if args.manifold == "sphere" else "discrete_circle"
-    seed = 0 if args.seed is None else args.seed
     try:
         radii = [float(v) for v in args.radii.split(",")]
         sigmas = [float(v) for v in args.sigmas.split(",")]
@@ -368,7 +352,7 @@ def cmd_oracle_check(args) -> int:
             raise ValueError("radii and sigmas must be positive and finite")
         if args.n_mc < 2:
             raise ValueError("--n-mc must be at least 2")
-        if seed < 0:
+        if args.seed < 0:
             raise ValueError("--seed must be nonnegative")
         manifold = ManifoldConfig(kind, n_coords=args.n_coords, n=args.n).build()
     except ValueError as exc:
@@ -386,7 +370,7 @@ def cmd_oracle_check(args) -> int:
             try:
                 est = mc_score_oracle(
                     x, sig, manifold, n_samples=args.n_mc,
-                    rng=np.random.default_rng(seed),
+                    rng=np.random.default_rng(args.seed),
                 )
             except UnreliableEstimateError:
                 print(f"{r:6g} {sig:6g} {'-':>10} {'-':>11}  INCONCLUSIVE")
@@ -431,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="reverse-sample from a trained checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--project", action="store_true")
     p.add_argument("--num-scales", type=int, default=None,
                    help="override the generation grid resolution")
@@ -459,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", default="0.5,1.0,1.5")
     p.add_argument("--sigmas", default="0.3,0.6,1.0")
     p.add_argument("--n-mc", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

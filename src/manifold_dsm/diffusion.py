@@ -23,7 +23,7 @@ raw final state: measuring how far it lands from the manifold
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -43,12 +43,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NoiseSchedule:
-    """Descending geometric noise grid sigma_max = s_1 > ... > s_N = sigma_min."""
+    """Descending geometric noise grid sigma_max = s_1 > ... > s_N = sigma_min,
+    in the read-only array `sigmas`; also a run config's `schedule` section."""
 
-    sigma_min: float
-    sigma_max: float
-    num_scales: int
-    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
+    sigma_min: float = 1e-4
+    sigma_max: float = 2.0
+    num_scales: int = 100
 
     def __post_init__(self):
         if not (0.0 < self.sigma_min < self.sigma_max < math.inf):

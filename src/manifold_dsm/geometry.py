@@ -197,12 +197,13 @@ def project(x: np.ndarray, manifold: Manifold) -> np.ndarray:
 
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
+_MAX_ORDER = 360  # the largest group the closure builds
 
 
 def _generators(name: str, m: int | None) -> list[np.ndarray]:
     if name == "cyclic_z":
-        if m is None or m < 1:
-            raise ValueError("cyclic_z needs the fold count m >= 1")
+        if m is None or not 1 <= m <= _MAX_ORDER:
+            raise ValueError(f"cyclic_z needs a fold count 1 <= m <= {_MAX_ORDER}, got {m}")
         return [quat_from_axis_angle([0.0, 0.0, 1.0], 2.0 * math.pi / m)]
     if name == "tetrahedral":
         return [
@@ -240,8 +241,8 @@ def build_symmetry_group(name: str, m: int | None = None) -> SymmetryGroup:
             for b in current:
                 if _insert(elems, quat_mul(a, b)):
                     added = True
-        if len(elems) > 360:
-            raise GroupClosureError(f"{name}: closure exceeded 360 elements")
+        if len(elems) > _MAX_ORDER:
+            raise GroupClosureError(f"{name}: closure exceeded {_MAX_ORDER} elements")
         if not added:
             break
     else:

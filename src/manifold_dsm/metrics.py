@@ -82,6 +82,13 @@ def _rows(batch) -> np.ndarray:
     return np.atleast_2d(np.asarray(batch, dtype=np.float64))
 
 
+def _mean_report(name: str, values: np.ndarray, config: dict) -> MetricReport:
+    """The mean of values, with its standard error once there are two."""
+    n = len(values)
+    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else None
+    return MetricReport(name=name, value=float(np.mean(values)), std_error=se, config=config)
+
+
 def _median_distance(pooled: np.ndarray) -> float:
     if pooled.shape[0] > _MEDIAN_POOL_CAP:
         stride = -(-pooled.shape[0] // _MEDIAN_POOL_CAP)
@@ -151,37 +158,27 @@ def spread(samples, q_gt, group: SymmetryGroup) -> MetricReport:
     orbit = quat_mul(q_gt[None, :], group.elements)
     # min geodesic over the orbit = 2 arccos of the largest |dot|
     best = np.max(np.abs(q @ orbit.T), axis=1)
-    dist = 2.0 * np.arccos(np.clip(best, 0.0, 1.0))
-    deg = np.degrees(dist)
-    se = float(np.std(deg, ddof=1) / np.sqrt(len(deg))) if len(deg) > 1 else None
-    return MetricReport(
-        name="spread",
-        value=float(np.mean(deg)),
-        std_error=se,
-        config={"group_order": len(group), "n_samples": q.shape[0]},
-    )
+    deg = np.degrees(2.0 * np.arccos(np.clip(best, 0.0, 1.0)))
+    return _mean_report("spread", deg, {"group_order": len(group), "n_samples": q.shape[0]})
 
 
 def manifold_drift(batch, manifold=None) -> MetricReport:
-    """Mean distance of the rows to the manifold; the max lands in the config.
+    """Mean distance of the rows to the manifold; the max and the measure
+    land in the config.
 
-    On a DiscreteSet the distance is to the nearest support point; on the
-    other manifolds, or with none given, it is |1 - ||x|||.
+    On a DiscreteSet the distance is to the nearest support point (measure
+    `nearest_point`); on the other manifolds, or with none given, it is
+    |1 - ||x||| (measure `radial`).
     """
     x = _rows(batch)
     if x.shape[0] == 0:
         raise ValueError("manifold_drift needs at least one sample")
     if isinstance(manifold, DiscreteSet):
-        d = manifold.nearest(x)[1]
+        measure, d = "nearest_point", manifold.nearest(x)[1]
     else:
-        d = np.abs(1.0 - np.linalg.norm(x, axis=1))
-    se = float(np.std(d, ddof=1) / np.sqrt(len(d))) if len(d) > 1 else None
-    return MetricReport(
-        name="manifold_drift",
-        value=float(np.mean(d)),
-        std_error=se,
-        config={"max": float(np.max(d)), "n_samples": x.shape[0]},
-    )
+        measure, d = "radial", np.abs(1.0 - np.linalg.norm(x, axis=1))
+    return _mean_report("manifold_drift", d, {"max": float(np.max(d)), "measure": measure,
+                                              "n_samples": x.shape[0]})
 
 
 def discrete_tv(batch, manifold: DiscreteSet, target_probs) -> MetricReport:

@@ -3,48 +3,20 @@
 The network consumes [x || embed(sigma)] and outputs a vector field over the
 ambient space.  Two conditioning embeddings: append log(sigma) (default), or
 sin/cos features of log(sigma) at dyadic frequencies.  With `antisymmetrize`
-the forward pass returns (f(x, e) - f(-x, e))/2, which is odd in x by
-construction for every parameter value; the sigma embedding is never negated.
+the forward pass returns (f(x, e) - f(-x, e))/2, which is exactly odd in x
+for every parameter value; the sigma embedding is never negated.
 
 Training regresses sigma * output against a residual target (see diffusion):
 loss = mean over rows of ||sigma f - target||^2, so at the optimum f is the
-score itself (dsm) or the correction to the base score (mad).
+score itself (dsm) or the correction to the base score (mad).  The final
+layer initializes to zero so a fresh mad model starts exactly at the base
+score.
 
 Parameters, gradients and both Adam moments are each one float64 vector laid
 out w0, b0, w1, b1, ...; the per-layer `weights` and `biases` are views into
-it.  Everything is plain numpy.  Bias adds and activations run in place on
-each layer's matmul output, and every layer is checked for non-finite values.
-
-Both `forward` and `backward` split their rows the same way: one contiguous
-range per CPU the process may use once a batch reaches 512 rows, else one
-range on the calling thread (`rowblocks.worker_rows`).
-
-`forward` (the sampler's path) walks each range in 512-row blocks, and
-splits the last two evenly where the last would hold under 256 rows, since
-OpenBLAS runs a GEMM of a few rows through other kernels, whose bytes differ.
-Each block moves through two ping-pong scratch buffers that stay in L2,
-where one full-batch pass over 10k rows would write and re-read a 10 MB
-activation per layer.  Only the last hidden activation is kept for every
-row, and the output layer is one full-batch matmul over it: its narrow
-(hidden, dim) GEMM is the one that does not give the same bytes at every row
-count.  The output is therefore bitwise the full-batch result, at any CPU
-count.
-
-`backward` (the training path) runs in one workspace per thread, built once
-per (layer shapes, rows, activation, branch count): each branch's input,
-matmul outputs and silu sigmoids and activations, and the upstream gradients,
-weight-gradient products and relu mask or silu derivative the branches share.
-Each range runs the hidden layers and then, branch by branch, the input
-gradients g <- (g @ W.T) * act'; the caller runs the output layer and loss
-over the whole batch in between.  Each branch's weight gradients post.T @ g
-and g.sum(axis=0) are whole-batch and added into the gradient vector, with
-layers dealt out over at most one item per layer, positive branch first.  So
-gradients are bitwise the one-thread result at any CPU count.  The gradient
-vector is a fresh zeroed array, so nothing returned aliases the workspace.
-
-Adam is the standard bias-corrected update, one pass of in-place numpy calls
-over the flat vectors, with two temporaries kept per thread.  The final layer
-initializes to zero so a fresh mad model starts exactly at the base score.
+it.  `forward` and `backward` split their rows over the CPUs the process may
+use (`rowblocks.worker_rows`) and check every layer for non-finite values;
+outputs, losses and gradients are bitwise the same at any CPU count.
 
 Checkpoints are a small versioned binary container: magic, version, a JSON
 header (config, layer shapes, caller extras), the parameter vector as raw
@@ -66,7 +38,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import CheckpointFormatError, TrainingDivergedError
-from .rowblocks import BLOCK_ROWS, map_shards, worker_rows
+from .rowblocks import BLOCK_ROWS, map_shards, split_rows, worker_rows
 
 __all__ = [
     "MlpConfig",
@@ -266,13 +238,16 @@ def _output_layer(params: NetworkParams, h: np.ndarray, out=None) -> np.ndarray:
 def _blocked_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray) -> np.ndarray:
     """Run the raw MLP on pre-assembled input h, one row range per worker.
 
-    Each range walks its rows in blocks of BLOCK_ROWS // 2 to BLOCK_ROWS rows,
-    or one block if the range is shorter.  A block runs every hidden layer
-    through two ping-pong scratch buffers and writes its last hidden
-    activation into one (n, hidden) array, and the output layer is one
-    full-batch matmul over that array.  A block stops at its first non-finite
-    layer, and the lowest such layer over all blocks is the one reported, as
-    a full-batch pass checking layer by layer would.
+    Each range walks its rows in ceil(rows / BLOCK_ROWS) near-equal blocks, so
+    no block is under BLOCK_ROWS // 2 rows unless its range is: OpenBLAS runs
+    a GEMM of a few rows through other kernels (GEMV for one row), whose bytes
+    differ.  A block runs every hidden layer through two ping-pong scratch
+    buffers that stay in L2 and writes its last hidden activation into one
+    (n, hidden) array; the output layer is one full-batch matmul over that
+    array, since its narrow (hidden, dim) GEMM is the one whose bytes depend
+    on the row count.  A block stops at its first non-finite layer, and the
+    lowest such layer over all blocks is the one reported, as a full-batch
+    pass checking layer by layer would.
     """
     n = h.shape[0]
     layers = len(params.weights) - 1
@@ -281,16 +256,11 @@ def _blocked_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray) ->
 
     def run_range(bounds):
         lo, hi = bounds
-        # no short last block: OpenBLAS sends a GEMM of a few rows to other
-        # kernels (GEMV for one row), whose bytes differ
-        edges = [lo, *range(lo + BLOCK_ROWS, hi, BLOCK_ROWS), hi]
-        if len(edges) > 2 and hi - edges[-2] < BLOCK_ROWS // 2:
-            edges[-2] = (edges[-3] + hi) // 2
         rows = min(hi - lo, BLOCK_ROWS)
         bufs = [np.empty((rows, config.hidden_dim)) for _ in range(2)]
         sg = np.empty((rows, config.hidden_dim)) if silu else None
         failed = []
-        for start, stop in zip(edges, edges[1:]):
+        for start, stop in split_rows(lo, hi, -(-(hi - lo) // BLOCK_ROWS)):
             m = stop - start
             zs = [bufs[i % 2][:m] for i in range(layers - 1)] + [top[start:stop]]
             sgs = [sg[:m]] * layers if silu else None
@@ -316,13 +286,13 @@ def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     return out
 
 
-# the calling thread's training workspace and Adam temporaries, if any (see
-# the module docstring)
+# the calling thread's training workspace and Adam temporaries, if any
 _workspaces = threading.local()
 
 
 def _workspace(config: MlpConfig, n: int, branches: int) -> SimpleNamespace:
-    """The calling thread's workspace for a training step on n rows."""
+    """The calling thread's workspace for a training step on n rows, rebuilt
+    when the layer shapes, n, the activation or the branch count change."""
     shapes = config.layer_shapes()
     key = (tuple(shapes), n, config.activation, branches)
     ws = getattr(_workspaces, "ws", None)
@@ -342,8 +312,16 @@ def _workspace(config: MlpConfig, n: int, branches: int) -> SimpleNamespace:
 
 
 def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma):
-    """Loss mean ||sigma f - target||^2 over rows, and its parameter gradients;
-    see the module docstring for the workspace and the row split."""
+    """Loss mean ||sigma f - target||^2 over rows, and its parameter gradients.
+
+    Runs in the calling thread's `_workspace`.  Each worker row range runs the
+    hidden layers and then, branch by branch, the input gradients
+    g <- (g @ W.T) * act'; the output layer and loss run on the whole batch in
+    between.  Weight gradients post.T @ g and g.sum(axis=0) are whole-batch
+    sums, dealt out by layer, positive branch first, so they are bitwise the
+    one-thread result.  The gradient vector is fresh, so nothing returned
+    aliases the workspace.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = np.atleast_2d(np.asarray(residual_target, dtype=np.float64))
     if x.shape != t.shape or x.shape[1] != config.input_dim:
@@ -483,8 +461,8 @@ def train(
     uniformly over the schedule's discrete levels, perturb, regress against
     the dsm or mad residual target.  Returns (params, per-step loss array).
 
-    Steps reuse the thread's backward workspace (see the module docstring),
-    which is dropped however training ends, so none of it outlives the call.
+    Steps reuse the thread's backward workspace (see `backward`), which is
+    dropped however training ends, so none of it outlives the call.
     """
     from .diffusion import dsm_target, mad_target, perturb
 
@@ -557,6 +535,9 @@ def load_checkpoint(path):
     try:
         header = json.loads(blob[off : off + hdr_len].decode("utf-8"))
         config = MlpConfig(**json_fields(MlpConfig, header["config"]))
+        extras = header.get("extras", {})
+        if not isinstance(extras, dict):
+            raise ValueError(f"extras must be a JSON object, got {extras!r}")
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise CheckpointFormatError(f"invalid checkpoint header: {exc}") from exc
     off += hdr_len
@@ -568,4 +549,4 @@ def load_checkpoint(path):
         raise CheckpointFormatError("layer data truncated" if off + size * 8 > len(blob) - 32
                                     else "trailing bytes after layer data")
     flat = np.frombuffer(blob, dtype="<f8", count=size, offset=off).astype(np.float64)
-    return NetworkParams(flat, shapes), config, header.get("extras", {})
+    return NetworkParams(flat, shapes), config, extras

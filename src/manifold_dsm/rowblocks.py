@@ -4,9 +4,11 @@ The sampler evaluates its score field on every sample at once (10k rows and
 more) and the trainer regresses on a batch of a few hundred rows.  Both split
 their rows the same way: `worker_rows` gives one near-equal contiguous range
 per CPU the process may use, once a batch reaches BLOCK_ROWS rows, and
-`map_shards` runs one function per range.  Callers split only work whose
-result for a row does not depend on how many rows come with it, which the
-tests compare byte for byte with full-batch reference passes.
+`map_shards` runs one function per range.  `split_rows` is the one near-equal
+cut behind those ranges and behind the sampler's blocks within a range.
+Callers split only work whose result for a row does not depend on how many
+rows come with it, which the tests compare byte for byte with full-batch
+reference passes.
 
 The calling thread runs the first range and a pool, created on first use,
 the others.  Pool threads run their range in a copy of the caller's
@@ -76,12 +78,18 @@ def _executor():
         return _pool
 
 
+def split_rows(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
+    """[start, stop) bounds of `parts` contiguous pieces of [lo, hi) whose
+    sizes differ by at most one row."""
+    n = hi - lo
+    return [(lo + n * k // parts, lo + n * (k + 1) // parts) for k in range(parts)]
+
+
 def worker_rows(n: int) -> list[tuple[int, int]]:
-    """[start, stop) bounds of one near-equal contiguous range per worker, of
-    at least two rows each, once n >= BLOCK_ROWS; else the one range (0, n),
-    since a pool round trip costs more than splitting a smaller batch saves."""
-    parts = min(_WORKERS, n // 2) if n >= BLOCK_ROWS else 1
-    return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+    """One near-equal contiguous range per worker, of at least two rows each,
+    once n >= BLOCK_ROWS; else the one range (0, n), since a pool round trip
+    costs more than splitting a smaller batch saves."""
+    return split_rows(0, n, min(_WORKERS, n // 2) if n >= BLOCK_ROWS else 1)
 
 
 def map_shards(fn, items: list) -> list:

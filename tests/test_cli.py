@@ -353,6 +353,20 @@ def test_sample_writes_drift_metric(tmp_path):
     assert "stage=pre_projection" in log[0]
 
 
+def test_drift_lines_name_their_measure(tmp_path):
+    # on a ring, sample's drift is to the nearest point and eval drift's is radial
+    ckpt = trained_run(tmp_path)
+    out = tmp_path / "s"
+    main(["sample", "--checkpoint", str(ckpt), "--n", "32", "--out", str(out)])
+    main(["eval", "drift", "--samples", str(out / "samples.csv"), "--out", str(out)])
+    sampled, evaluated = (out / "metrics.log").read_text().splitlines()
+    assert sampled.startswith("name=manifold_drift ") and " measure=nearest_point " in sampled
+    assert evaluated.startswith("name=manifold_drift ") and " measure=radial " in evaluated
+    # without --seed, sample draws seed 0
+    assert json.loads((out / "sample.config.json").read_text())["seed"] == 0
+    assert " seed=0 " in sampled
+
+
 def test_sample_project_snaps_to_support(tmp_path):
     ckpt = trained_run(tmp_path)
     out = tmp_path / "s"
@@ -577,6 +591,9 @@ def test_eval_spread_rejects_bad_quaternion(tmp_path, capsys):
          "--q-gt must be finite and nonzero, got nan,0,0,1"),
         (["spread", "--group", "octahedral", "--q-gt", "1,inf,0,0"],
          "--q-gt must be finite and nonzero, got 1,inf,0,0"),
+        # past the 360 elements the closure stops at, rejected before closing
+        (["spread", "--group", "cyclic_z", "--m", "400", "--q-gt", "1,0,0,0"],
+         "cyclic_z needs a fold count 1 <= m <= 360, got 400"),
     ],
 )
 def test_eval_rejects_degenerate_numeric_flags(tmp_path, capsys, flags, message):
@@ -601,6 +618,22 @@ def test_eval_rejects_rows_unlike_the_header(tmp_path, capsys, header_width, row
     assert capsys.readouterr().err == (
         f"error: {path}: header names {header_width} columns, rows have {row_width}\n"
     )
+    assert not (tmp_path / "o" / "metrics.log").exists()
+
+
+@pytest.mark.parametrize("bad_row", ["nan,nan", "inf,0", "0.5,-inf"])
+@pytest.mark.parametrize("metric", [["tv", "--kind", "discrete_uniform"], ["drift"],
+                                    ["mmd", "--reference"]])
+def test_eval_rejects_non_finite_sample_rows(tmp_path, capsys, metric, bad_row):
+    # a nan row once counted towards the nearest support point in tv
+    path = tmp_path / "samples.csv"
+    path.write_text(f"x0,x1\n1.0,0.0\n{bad_row}\n0.0,1.0\n")
+    args = [*metric, str(path)] if metric[0] == "mmd" else metric
+    rc = main(["eval", *args, "--samples", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: sample row 2 holds a non-finite value\n"
+    assert captured.out == ""
     assert not (tmp_path / "o" / "metrics.log").exists()
 
 

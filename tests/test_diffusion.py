@@ -1,5 +1,7 @@
 """Forward perturbation, training targets, and the reverse sampler."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from manifold_dsm.diffusion import (
 from manifold_dsm.errors import TrainingDivergedError
 from manifold_dsm.geometry import DiscreteSet, Sphere, project
 from manifold_dsm.metrics import manifold_drift
+from manifold_dsm.mlp import json_fields
 
 TWO_POINTS = np.array([[1.0, 0.0], [-1.0, 0.0]])
 
@@ -32,6 +35,21 @@ def test_schedule_geometric_construction():
     # telescoping of the squared increments
     total = np.sum(sch.sigmas[:-1] ** 2 - sch.sigmas[1:] ** 2)
     assert abs(total - (sch.sigma_max**2 - sch.sigma_min**2)) < 1e-10
+
+
+def test_schedule_is_the_schedule_section():
+    # the defaults a run config's schedule section falls back on, and a
+    # record of exactly the three keys
+    sch = NoiseSchedule()
+    assert (sch.sigma_min, sch.sigma_max, sch.num_scales) == (1e-4, 2.0, 100)
+    assert sch.sigmas.tobytes() == NoiseSchedule.geometric(1e-4, 2.0, 100).sigmas.tobytes()
+    assert dataclasses.asdict(sch) == {"sigma_min": 1e-4, "sigma_max": 2.0, "num_scales": 100}
+    assert json_fields(NoiseSchedule, {"num_scales": 7, "sigma_max": 3}) == {
+        "num_scales": 7, "sigma_max": 3.0}
+    with pytest.raises(ValueError, match="unknown key 'sigmas'"):
+        json_fields(NoiseSchedule, {"sigmas": [1.0, 0.5]})
+    with pytest.raises(ValueError):
+        sch.sigmas[0] = 1.0
 
 
 def test_schedule_rejects_bad_input():

@@ -92,6 +92,9 @@ def test_build_symmetry_group_rejects_bad_names():
         build_symmetry_group("dihedral")
     with pytest.raises(ValueError):
         build_symmetry_group("cyclic_z", 0)
+    # past the closure's 360 elements: rejected before any closure work
+    with pytest.raises(ValueError, match="1 <= m <= 360, got 361"):
+        build_symmetry_group("cyclic_z", 361)
 
 
 def test_canonicalize_known_cell():

@@ -624,6 +624,32 @@ def test_blocked_forward_matches_reference_bitwise_at_width_512(monkeypatch, act
     assert forward_bytes_by_workers(monkeypatch, params, cfg, x, sig) == [want] * 4
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_forward_blocks_hold_half_a_block_to_a_block(monkeypatch, workers):
+    # every block of a range longer than BLOCK_ROWS holds 256-512 rows
+    monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+    calls = []
+
+    def spy(lo, hi, parts):
+        blocks = rowblocks.split_rows(lo, hi, parts)
+        calls.append(((lo, hi), blocks))
+        return blocks
+
+    monkeypatch.setattr(mlp, "split_rows", spy)
+    cfg = tiny_config(hidden_dim=8)
+    params = randomized_params(cfg, 44)
+    for rows in [1, 511, 512, 513, 1023, 1025, 1537, 2049, 10000]:
+        calls.clear()
+        forward(params, cfg, np.zeros((rows, 2)), 0.3)
+        assert sorted(bounds for bounds, _ in calls) == rowblocks.worker_rows(rows)
+        for (lo, hi), blocks in calls:
+            assert blocks[0][0] == lo and blocks[-1][1] == hi
+            assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+            sizes = [stop - start for start, stop in blocks]
+            assert max(sizes) <= rowblocks.BLOCK_ROWS
+            assert min(sizes) >= min(hi - lo, rowblocks.BLOCK_ROWS // 2)
+
+
 @pytest.mark.parametrize(
     "model,dim",
     [(dict(hidden_dim=128, activation="relu"), 2),
@@ -1118,3 +1144,9 @@ def test_checkpoint_corruption_cases(tmp_path):
     bad.write_bytes(rebuild_blob(blob, header_edit=broken_config))
     with pytest.raises(CheckpointFormatError, match="header"):
         load_checkpoint(bad)
+
+    for extras in ([], "k", 1):
+        bad.write_bytes(rebuild_blob(blob, header_edit=lambda obj: obj.update(extras=extras)))
+        with pytest.raises(CheckpointFormatError,
+                           match="invalid checkpoint header: extras must be a JSON object"):
+            load_checkpoint(bad)

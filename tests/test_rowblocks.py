@@ -74,6 +74,17 @@ def test_worker_rows_split_a_batch_of_a_block_or_more_once_per_worker(monkeypatc
     assert max(sizes) - min(sizes) <= 1 and min(sizes) >= min(n, 2)
 
 
+@pytest.mark.parametrize("lo,hi,parts", [(0, 0, 1), (0, 7, 7), (5, 1030, 2), (512, 10000, 19),
+                                         (3, 4, 1), (100, 1637, 3)])
+def test_split_rows_cuts_near_equal_contiguous_pieces(lo, hi, parts):
+    pieces = rowblocks.split_rows(lo, hi, parts)
+    assert len(pieces) == parts
+    assert pieces[0][0] == lo and pieces[-1][1] == hi
+    assert all(stop == start for (_, stop), (start, _) in zip(pieces, pieces[1:]))
+    sizes = [stop - start for start, stop in pieces]
+    assert max(sizes) - min(sizes) <= 1
+
+
 def test_map_shards_called_on_a_pool_thread_runs_inline():
     # with two workers the pool has one thread; a nested call that waited on
     # the pool from that thread would wait for itself forever
