@@ -53,6 +53,7 @@ __all__ = [
 
 _MIN_SPHERE_NORM = 1e-8
 _MAX_SIGMA = np.sqrt(np.finfo(np.float64).max)  # the largest sigma whose square is finite
+_ORACLE_CHUNK = 1 << 17  # draws per Monte Carlo oracle pass
 
 
 def _points_of(support) -> np.ndarray:
@@ -216,14 +217,8 @@ class OracleEstimate:
     n_samples: int
 
 
-def mc_score_oracle(
-    x,
-    sigma: float,
-    manifold: Manifold,
-    n_samples: int,
-    rng: np.random.Generator,
-    chunk_size: int = 1 << 17,
-) -> OracleEstimate:
+def mc_score_oracle(x, sigma: float, manifold: Manifold, n_samples: int,
+                    rng: np.random.Generator) -> OracleEstimate:
     """Importance-sampled score estimate for a single query point.
 
     Draws x0 ~ mu (uniform on the sphere via normalized Gaussians, uniform
@@ -256,7 +251,7 @@ def mc_score_oracle(
 
     remaining = int(n_samples)
     while remaining > 0:
-        m = min(remaining, chunk_size)
+        m = min(remaining, _ORACLE_CHUNK)
         remaining -= m
         if discrete:
             x0 = manifold.points[rng.integers(manifold.points.shape[0], size=m)]

@@ -123,12 +123,15 @@ def from_dict(cls, cfg: dict, section: str, **overrides):
 
     The section's keys and value types are checked by `mlp.json_fields`, the
     rules checkpoint headers also follow.  `overrides` set fields whatever
-    the section says.  Failures, including the class's own validation, raise
-    ConfigError("<section>: ...").
+    the section says.  A section that is missing or not a JSON object is
+    named as such; other failures, including the class's own validation,
+    raise ConfigError("<section>: ...").
     """
-    data = cfg.get(section)
-    if not isinstance(data, dict):
+    if section not in cfg:
         raise ConfigError(f"config is missing the {section!r} section")
+    data = cfg[section]
+    if not isinstance(data, dict):
+        raise ConfigError(f"the {section!r} section must be a JSON object, got {json.dumps(data)}")
     kwargs = _checked(section, json_fields, cls, data)
     return _checked(section, cls, **{**kwargs, **overrides})
 
@@ -355,18 +358,21 @@ def cmd_oracle_check(args) -> int:
         if args.seed < 0:
             raise ValueError("--seed must be nonnegative")
         manifold = ManifoldConfig(kind, n_coords=args.n_coords, n=args.n).build()
+        direction = np.zeros(manifold.ambient_dim)
+        direction[0] = 1.0
+        # every closed form before any Monte Carlo work: a radius or sigma it
+        # rejects is an input error
+        closed_forms = {(r, sig): base_score(r * direction, sig, manifold)
+                        for r in radii for sig in sigmas}
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    direction = np.zeros(manifold.ambient_dim)
-    direction[0] = 1.0
 
     print(f"{'r':>6} {'sigma':>6} {'rel_err':>10} {'max_dev/se':>11}  status")
     failed = 0
     for r in radii:
         for sig in sigmas:
             x = r * direction
-            closed = base_score(x, sig, manifold)
+            closed = closed_forms[r, sig]
             try:
                 est = mc_score_oracle(
                     x, sig, manifold, n_samples=args.n_mc,

@@ -30,7 +30,7 @@ class TrainingDivergedError(RuntimeError):
 
 
 class GroupClosureError(RuntimeError):
-    """Generator closure failed to reach a fixed point within the iteration bound."""
+    """The generator walk built a group of the wrong size."""
 
 
 class CheckpointFormatError(ValueError):

@@ -5,9 +5,11 @@ Hamilton product convention.  A unit quaternion q and its antipode -q encode
 the same rotation (double cover), so rotation-valued comparisons always go
 through the absolute inner product.
 
-Symmetry groups are built by closing a small generator set under
-multiplication and deduplicating antipodes, one fixed sign representative per
-element.  The identity is always element 0, which makes the lowest-index
+A symmetry group is built by a generator walk: starting from the identity,
+each listed element is multiplied by each generator once, and a product joins
+the list unless it matches an element up to sign (one fixed sign
+representative per element).  The list is closed when the walk reaches its
+end.  The identity is always element 0, which makes the lowest-index
 tie-break in `canonicalize` idempotent.
 """
 
@@ -197,77 +199,59 @@ def project(x: np.ndarray, manifold: Manifold) -> np.ndarray:
 
 
 _PHI = (1.0 + math.sqrt(5.0)) / 2.0
-_MAX_ORDER = 360  # the largest group the closure builds
-
-
-def _generators(name: str, m: int | None) -> list[np.ndarray]:
-    if name == "cyclic_z":
-        if m is None or not 1 <= m <= _MAX_ORDER:
-            raise ValueError(f"cyclic_z needs a fold count 1 <= m <= {_MAX_ORDER}, got {m}")
-        return [quat_from_axis_angle([0.0, 0.0, 1.0], 2.0 * math.pi / m)]
-    if name == "tetrahedral":
-        return [
-            quat_from_axis_angle([0.0, 0.0, 1.0], math.pi),
-            quat_from_axis_angle([1.0, 1.0, 1.0], 2.0 * math.pi / 3.0),
-        ]
-    if name == "octahedral":
-        return [
-            quat_from_axis_angle([0.0, 0.0, 1.0], math.pi / 2.0),
-            quat_from_axis_angle([1.0, 1.0, 1.0], 2.0 * math.pi / 3.0),
-        ]
-    if name == "icosahedral":
-        # 5-fold axis through an icosahedron vertex, 2-fold through an edge
-        # midpoint; the cardinality invariant below validates the closure.
-        return [
-            quat_from_axis_angle([0.0, 1.0, _PHI], 2.0 * math.pi / 5.0),
-            quat_from_axis_angle([0.0, 0.0, 1.0], math.pi),
-        ]
-    raise ValueError(f"unknown symmetry group {name!r}")
-
-
-_EXPECTED_ORDER = {"tetrahedral": 12, "octahedral": 24, "icosahedral": 60}
+_MAX_ORDER = 360  # the largest group the walk builds
+_Z = (0.0, 0.0, 1.0)
+_DIAGONAL = (1.0, 1.0, 1.0)
+# name -> ((axis, angle) generators, order); the cyclic_z row is built from m
+_GROUPS = {
+    "tetrahedral": (((_Z, math.pi), (_DIAGONAL, 2.0 * math.pi / 3.0)), 12),
+    "octahedral": (((_Z, math.pi / 2.0), (_DIAGONAL, 2.0 * math.pi / 3.0)), 24),
+    # 5-fold axis through an icosahedron vertex, 2-fold through an edge midpoint
+    "icosahedral": ((((0.0, 1.0, _PHI), 2.0 * math.pi / 5.0), (_Z, math.pi)), 60),
+}
 
 
 def build_symmetry_group(name: str, m: int | None = None) -> SymmetryGroup:
-    """Close the generator set under multiplication, dedup antipodal pairs."""
-    elems = [_IDENTITY.copy()]
-    for g in _generators(name, m):
-        _insert(elems, g)
+    """Walk the generators from the identity, dedup antipodal pairs.
 
-    for _ in range(12):
-        added = False
-        current = list(elems)
-        for a in current:
-            for b in current:
-                if _insert(elems, quat_mul(a, b)):
-                    added = True
-        if len(elems) > _MAX_ORDER:
-            raise GroupClosureError(f"{name}: closure exceeded {_MAX_ORDER} elements")
-        if not added:
-            break
+    `m` is the fold count of `cyclic_z` and must be None for any other group.
+    """
+    if name == "cyclic_z":
+        if m is None or not 1 <= m <= _MAX_ORDER:
+            raise ValueError(f"cyclic_z needs a fold count 1 <= m <= {_MAX_ORDER}, got {m}")
+        rotations, expected = ((_Z, 2.0 * math.pi / m),), m
+    elif name not in _GROUPS:
+        raise ValueError(f"unknown symmetry group {name!r}")
+    elif m is not None:
+        raise ValueError(f"{name} has a fixed order and takes no fold count, got m={m}")
     else:
-        raise GroupClosureError(f"{name}: no fixed point within iteration bound")
+        rotations, expected = _GROUPS[name]
+    generators = [quat_from_axis_angle(axis, angle) for axis, angle in rotations]
+
+    # every element times every generator, the elements appended on the way
+    # included: the list stops growing once it is closed
+    elems = [_IDENTITY.copy()]
+    for a in elems:
+        for g in generators:
+            _insert(elems, quat_mul(a, g))
+        if len(elems) > _MAX_ORDER:
+            raise GroupClosureError(f"{name}: walk exceeded {_MAX_ORDER} elements")
 
     arr = np.array(elems)
     # Stable deterministic order with the identity first: sort by descending
     # rounded coordinates (identity has the unique maximal Re).
     r = np.round(arr, 12)
-    order = np.lexsort((-r[:, 3], -r[:, 2], -r[:, 1], -r[:, 0]))
-    arr = arr[order]
+    arr = arr[np.lexsort((-r[:, 3], -r[:, 2], -r[:, 1], -r[:, 0]))]
 
-    expected = m if name == "cyclic_z" else _EXPECTED_ORDER[name]
     if arr.shape[0] != expected:
         raise GroupClosureError(
-            f"{name}: closure produced {arr.shape[0]} elements, expected {expected}"
+            f"{name}: walk produced {arr.shape[0]} elements, expected {expected}"
         )
     return SymmetryGroup(name=name, elements=arr)
 
 
-def _insert(elems: list[np.ndarray], q: np.ndarray) -> bool:
-    """Add q to the list if no element matches it up to sign; returns True if added."""
+def _insert(elems: list[np.ndarray], q: np.ndarray) -> None:
+    """Append q, sign-fixed, unless an element of the list matches it up to sign."""
     q = _fix_sign(q / np.linalg.norm(q))
-    arr = np.asarray(elems)
-    if np.max(np.abs(arr @ q)) > 1.0 - 1e-9:
-        return False
-    elems.append(q)
-    return True
+    if np.max(np.abs(np.asarray(elems) @ q)) <= 1.0 - 1e-9:
+        elems.append(q)

@@ -401,14 +401,10 @@ def _adam_scratch(size: int) -> tuple[np.ndarray, np.ndarray]:
     return scratch
 
 
-def adam_step(
-    params: NetworkParams,
-    grads: NetworkGrads,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> NetworkParams:
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # Adam's standard moment decays and denominator floor
+
+
+def adam_step(params: NetworkParams, grads: NetworkGrads, lr: float) -> NetworkParams:
     """Standard bias-corrected Adam, applied in place as one pass over the
     flat vectors.
 
@@ -421,21 +417,21 @@ def adam_step(
     if not p.shape == g.shape == m.shape == v.shape:
         raise ValueError("gradient and moment vectors must match the parameter vector in size")
     t = params.step + 1
-    c1 = 1.0 - beta1**t
-    c2 = 1.0 - beta2**t
+    c1 = 1.0 - _BETA1**t
+    c2 = 1.0 - _BETA2**t
     step, denom = _adam_scratch(p.size)
     # same rounding as p - lr * (m/c1) / (sqrt(v/c2) + eps) with
     # m = beta1 m + (1-beta1) g and v = beta2 v + ((1-beta2) g) g
-    np.multiply(g, 1.0 - beta1, out=step)
-    m *= beta1
+    np.multiply(g, 1.0 - _BETA1, out=step)
+    m *= _BETA1
     m += step
-    np.multiply(g, 1.0 - beta2, out=denom)
+    np.multiply(g, 1.0 - _BETA2, out=denom)
     denom *= g
-    v *= beta2
+    v *= _BETA2
     v += denom
     np.divide(v, c2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += eps
+    denom += _EPS
     np.divide(m, c1, out=step)
     step *= lr
     step /= denom

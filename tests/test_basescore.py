@@ -553,3 +553,9 @@ def test_mc_oracle_is_deterministic_and_validates_input():
         mc_score_oracle(np.stack([x, x]), 0.4, Sphere(3), 1000, np.random.default_rng(0))
     with pytest.raises(ValueError):
         mc_score_oracle(x, 0.4, Sphere(3), 1, np.random.default_rng(0))
+
+
+def test_mc_oracle_chunk_size_is_fixed():
+    with pytest.raises(TypeError):
+        mc_score_oracle(np.array([0.0, 0.0, 1.2]), 0.5, Sphere(2), 1000,
+                        np.random.default_rng(0), chunk_size=100)

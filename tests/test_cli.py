@@ -6,7 +6,6 @@ quality of outputs is covered by the module tests, here we check wiring,
 file formats, exit codes, and byte-level reproducibility.
 """
 
-import hashlib
 import json
 import struct
 
@@ -17,6 +16,7 @@ from manifold_dsm.cli import main
 from manifold_dsm.datasets import circle_points, skewed_pmf
 from manifold_dsm.geometry import build_symmetry_group, quat_mul
 from manifold_dsm.mlp import MlpConfig, init_params, save_checkpoint
+from test_mlp import rebuild_blob
 
 
 def write_config(tmp_path, **overrides):
@@ -273,6 +273,10 @@ def test_train_reruns_from_its_own_record(tmp_path):
          "dataset: components entries must be finite, got inf"),
         ("dataset", {"kind": "vmf_mixture", "components": [[[0, 0, 1], 10**400, 1]]},
          f"dataset: components entries must be finite, got {10**400}"),
+        # a section that is there but not an object is not reported as missing
+        ("training", 3, "the 'training' section must be a JSON object, got 3"),
+        ("schedule", [], "the 'schedule' section must be a JSON object, got []"),
+        ("manifold", None, "the 'manifold' section must be a JSON object, got null"),
     ],
 )
 def test_train_rejects_bad_config_values(tmp_path, capsys, time_limit, section, value, message):
@@ -463,6 +467,18 @@ def test_sample_rejects_unknown_loss_kind(tmp_path, capsys, loss_kind):
     assert not (out / "samples.csv").exists()
 
 
+def test_sample_rejects_checkpoint_schedule_that_is_not_an_object(tmp_path, capsys):
+    ckpt = trained_run(tmp_path)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(rebuild_blob(ckpt.read_bytes(),
+                                 header_edit=lambda obj: obj["extras"].update(schedule=[])))
+    out = tmp_path / "s"
+    rc = main(["sample", "--checkpoint", str(bad), "--n", "4", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: the 'schedule' section must be a JSON object, got []\n"
+    assert not (out / "samples.csv").exists()
+
+
 def test_sample_rejects_corrupt_checkpoint(tmp_path, capsys):
     ckpt = trained_run(tmp_path)
     blob = bytearray(ckpt.read_bytes())
@@ -486,14 +502,9 @@ def test_sample_rejects_corrupt_checkpoint(tmp_path, capsys):
 def test_sample_rejects_checkpoint_header_of_wrong_type(tmp_path, capsys, key, value, message):
     # a header edited with its SHA-256 trailer recomputed passes the checksum
     ckpt = trained_run(tmp_path)
-    blob = ckpt.read_bytes()
-    hdr_len = struct.unpack_from("<I", blob, 12)[0]
-    header = json.loads(blob[16 : 16 + hdr_len])
-    header["config"][key] = value
-    hdr = json.dumps(header, sort_keys=True).encode("utf-8")
-    edited = blob[:12] + struct.pack("<I", len(hdr)) + hdr + blob[16 + hdr_len : -32]
     bad = tmp_path / "edited.bin"
-    bad.write_bytes(edited + hashlib.sha256(edited).digest())
+    bad.write_bytes(rebuild_blob(ckpt.read_bytes(),
+                                 header_edit=lambda obj: obj["config"].update({key: value})))
     capsys.readouterr()
     out = tmp_path / "s"
     rc = main(["sample", "--checkpoint", str(bad), "--n", "4", "--out", str(out)])
@@ -591,9 +602,11 @@ def test_eval_spread_rejects_bad_quaternion(tmp_path, capsys):
          "--q-gt must be finite and nonzero, got nan,0,0,1"),
         (["spread", "--group", "octahedral", "--q-gt", "1,inf,0,0"],
          "--q-gt must be finite and nonzero, got 1,inf,0,0"),
-        # past the 360 elements the closure stops at, rejected before closing
+        # past the 360 elements the walk stops at, rejected before walking
         (["spread", "--group", "cyclic_z", "--m", "400", "--q-gt", "1,0,0,0"],
          "cyclic_z needs a fold count 1 <= m <= 360, got 400"),
+        (["spread", "--group", "octahedral", "--m", "5", "--q-gt", "1,0,0,0"],
+         "octahedral has a fixed order and takes no fold count, got m=5"),
     ],
 )
 def test_eval_rejects_degenerate_numeric_flags(tmp_path, capsys, flags, message):
@@ -729,6 +742,11 @@ def test_oracle_check_rejects_nonpositive_grid(capsys):
         (["--manifold", "discrete", "--n-coords", "1"], "n_coords must be >= 2"),
         (["--n-mc", "1"], "--n-mc must be at least 2"),
         (["--seed", "-1"], "--seed must be nonnegative"),
+        # values the closed form rejects, caught before any Monte Carlo work
+        (["--n", "3", "--radii", "1e-9"], "sphere score undefined near the origin (||x|| < 1e-08)"),
+        (["--sigmas", "1e200"], "sigma must be positive and finite, with a finite square"),
+        (["--manifold", "discrete", "--sigmas", "1e200"],
+         "sigma must be positive and finite, with a finite square"),
     ],
 )
 def test_oracle_check_rejects_bad_arguments(capsys, flags, message):

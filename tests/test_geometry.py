@@ -92,9 +92,74 @@ def test_build_symmetry_group_rejects_bad_names():
         build_symmetry_group("dihedral")
     with pytest.raises(ValueError):
         build_symmetry_group("cyclic_z", 0)
-    # past the closure's 360 elements: rejected before any closure work
+    # past the walk's 360 elements: rejected before any walk
     with pytest.raises(ValueError, match="1 <= m <= 360, got 361"):
         build_symmetry_group("cyclic_z", 361)
+    # a fold count means nothing to a polyhedral group
+    with pytest.raises(ValueError, match="octahedral has a fixed order and takes no fold count, got m=5"):
+        build_symmetry_group("octahedral", 5)
+
+
+def _closure_by_all_pairs(name, m):
+    """Reference: close the generators by multiplying every pair of elements,
+    round after round, then sort as build_symmetry_group does."""
+    z, diagonal = [0.0, 0.0, 1.0], [1.0, 1.0, 1.0]
+    if name == "cyclic_z":
+        generators = [(z, 2.0 * np.pi / m)]
+    else:
+        generators = {
+            "tetrahedral": [(z, np.pi), (diagonal, 2.0 * np.pi / 3.0)],
+            "octahedral": [(z, np.pi / 2.0), (diagonal, 2.0 * np.pi / 3.0)],
+            "icosahedral": [([0.0, 1.0, (1.0 + np.sqrt(5.0)) / 2.0], 2.0 * np.pi / 5.0),
+                            (z, np.pi)],
+        }[name]
+
+    def insert(elems, q):
+        q = q / np.linalg.norm(q)
+        lead = q[np.flatnonzero(np.abs(q) > 1e-12)[0]]
+        q = q if lead > 0 else -q
+        if np.max(np.abs(np.asarray(elems) @ q)) > 1.0 - 1e-9:
+            return False
+        elems.append(q)
+        return True
+
+    elems = [IDENTITY.copy()]
+    for axis, angle in generators:
+        insert(elems, quat_from_axis_angle(axis, angle))
+    while True:
+        current = list(elems)
+        added = [insert(elems, quat_mul(a, b)) for a in current for b in current]
+        if not any(added):
+            break
+    arr = np.array(elems)
+    r = np.round(arr, 12)
+    return arr[np.lexsort((-r[:, 3], -r[:, 2], -r[:, 1], -r[:, 0]))]
+
+
+@pytest.mark.parametrize(
+    "name, m",
+    [("tetrahedral", None), ("octahedral", None), ("icosahedral", None)]
+    + [("cyclic_z", m) for m in (1, 2, 3, 4, 7, 60, 120)],
+)
+def test_generator_walk_matches_all_pairs_closure(name, m):
+    want = _closure_by_all_pairs(name, m)
+    got = build_symmetry_group(name, m).elements
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=2e-15)
+
+
+def test_cyclic_group_of_order_360_builds_fast(time_limit):
+    with time_limit(5):
+        group = build_symmetry_group("cyclic_z", 360)
+    elems = group.elements
+    assert len(group) == 360
+    # closed: the generator maps the group onto itself, up to sign
+    step = quat_mul(elems, elems[1])
+    assert np.all(np.max(np.abs(step @ elems.T), axis=1) > 1 - 1e-9)
+    # sign-distinct: no two elements are the same rotation
+    dots = np.abs(elems @ elems.T)
+    np.fill_diagonal(dots, 0.0)
+    assert np.max(dots) < 1 - 1e-9
 
 
 def test_canonicalize_known_cell():

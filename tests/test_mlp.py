@@ -894,6 +894,15 @@ def test_adam_first_step_closed_form():
     assert out.biases[0][0] == 0.25
 
 
+@pytest.mark.parametrize("keyword", ["beta1", "beta2", "eps"])
+def test_adam_hyperparameters_are_fixed(keyword):
+    # the moment decays and the floor are constants; only lr is an argument
+    params = one_param_state(0.5)
+    with pytest.raises(TypeError):
+        adam_step(params, NetworkGrads(np.array([0.3, 0.0]), ONE_LAYER), lr=0.01, **{keyword: 0.5})
+    assert params.step == 0
+
+
 def test_adam_updates_params_built_without_moments():
     grads = NetworkGrads(np.array([0.3, -0.2]), ONE_LAYER)
     bare = NetworkParams(np.array([0.5, 0.25]), ONE_LAYER)
