@@ -167,10 +167,11 @@ def _ie01(x: np.ndarray) -> np.ndarray:
     sum (b_0 - b_2) / 2.  Each element takes a fixed sequence of operations,
     so its bytes do not depend on its batch."""
     small = x <= 8.0
-    if small.all():
-        table = _SMALL
-    elif not small.any():
-        table = _LARGE[_PAD:]
+    one_piece = small.all() or not small.any()
+    if one_piece:
+        # numpy adds a (2, 1) column in its unvectorised broadcast loop, so
+        # the coefficients go in row by row as scalars
+        table = (_SMALL if small.all() else _LARGE[_PAD:])[:, :, 0].tolist()
     else:
         table = np.where(small, _SMALL, _LARGE)
     # both branches run on every row: the maximum keeps 16/x finite for tiny x
@@ -184,7 +185,11 @@ def _ie01(x: np.ndarray) -> np.ndarray:
         b0, b1, b2 = b2, b0, b1
         np.multiply(t2, b1, out=b0)
         b0 -= b2
-        b0 += c
+        if one_piece:
+            b0[0] += c[0]
+            b0[1] += c[1]
+        else:
+            b0 += c
     b0 -= b2
     b0 *= 0.5
     b0 /= np.where(small, 1.0 + x, np.sqrt(x))

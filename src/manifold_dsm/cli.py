@@ -43,7 +43,8 @@ from .errors import (
 )
 from .geometry import DiscreteSet, Sphere, build_symmetry_group, project
 from .metrics import append_metric, discrete_tv, format_line, manifold_drift, mmd, spread
-from .mlp import MlpConfig, forward, json_fields, load_checkpoint, save_checkpoint, train
+from .mlp import (MlpConfig, drop_workspace, forward, json_fields, load_checkpoint,
+                  save_checkpoint, train)
 
 __all__ = ["main"]
 
@@ -282,7 +283,10 @@ def cmd_sample(args) -> int:
     schedule = from_dict(NoiseSchedule, extras, "schedule", **scales)
 
     field = _score_field(params, model, extras["loss_kind"], manifold)
-    samples = reverse_sample(field, schedule, args.n, manifold, np.random.default_rng(args.seed))
+    try:
+        samples = reverse_sample(field, schedule, args.n, manifold, np.random.default_rng(args.seed))
+    finally:  # the forward's buffers, reused across steps, end with the run
+        drop_workspace()
     out = _ensure_out(args.out, None)
     if args.n > 0:
         # measured before --project snaps the samples onto the support

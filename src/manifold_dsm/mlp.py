@@ -15,8 +15,13 @@ score.
 Parameters, gradients and both Adam moments are each one float64 vector laid
 out w0, b0, w1, b1, ...; the per-layer `weights` and `biases` are views into
 it.  `forward` and `backward` split their rows over the CPUs the process may
-use (`rowblocks.worker_rows`) and check every layer for non-finite values;
-outputs, losses and gradients are bitwise the same at any CPU count.
+use (`rowblocks.worker_rows`); outputs, losses and gradients are bitwise the
+same at any CPU count.  `backward` checks every layer for non-finite values.
+`forward` first bounds every layer's magnitude from its input and the weights
+(`_bounded`) and checks layer by layer only when that bound cannot rule out
+nan or inf.  Each runs in the calling thread's one workspace slot, which holds
+the buffers of the last forward or training step shape and is released before
+a workspace of another shape is built, so at most one is alive.
 
 Checkpoints are a small versioned binary container: magic, version, a JSON
 header (config, layer shapes, caller extras), the parameter vector as raw
@@ -49,6 +54,7 @@ __all__ = [
     "backward",
     "adam_step",
     "train",
+    "drop_workspace",
     "save_checkpoint",
     "load_checkpoint",
     "json_fields",
@@ -207,14 +213,39 @@ def _diverged(layer: int) -> TrainingDivergedError:
     return TrainingDivergedError(f"non-finite activations at layer {layer}")
 
 
-def _hidden_layers(params: NetworkParams, silu: bool, h, zs, sgs, acts):
+_BOUND = 1e300  # a layer bound below this proves the layer finite
+
+
+def _bounded(params: NetworkParams, h: np.ndarray) -> bool:
+    """Whether no layer of the net can hold nan or inf on input h.
+
+    With a_0 = max |h| and a_{i+1} = 2 (a_i max_j sum_k |W_kj| + max_j |b_j|),
+    a_{i+1} bounds layer i's matmul output, since |relu(z)| <= |z| and
+    |silu(z)| <= |z|; the factor 2 covers the rounding of the matmul and of
+    the bound itself.  Every a_i below _BOUND, the output layer's included,
+    proves every layer finite.  nan or inf in h, weights that break the bound
+    and the empty batch give False.
+    """
+    if h.size == 0:
+        return False
+    with np.errstate(all="ignore"):
+        a = np.abs(h).max()
+        for w, b in zip(params.weights, params.biases):
+            if not a < _BOUND:
+                return False
+            a = 2.0 * (a * np.abs(w).sum(axis=0).max() + np.abs(b).max())
+    return bool(a < _BOUND)
+
+
+def _hidden_layers(params: NetworkParams, silu: bool, h, zs, sgs, acts, check=True):
     """Run the hidden layers from input h: layer i's matmul into zs[i], its
     silu sigmoid into sgs[i] and its activation into acts[i], which may be
-    zs[i].  Returns the first layer with a non-finite entry, or None."""
+    zs[i].  Returns the first layer with a non-finite entry, or None; with
+    `check` false no layer is tested and None is returned."""
     for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases)):
         z = np.matmul(h, w, out=zs[i])
         z += b
-        if not _finite(z):
+        if check and not _finite(z):
             return i
         if silu:  # z * sg with sg = 1/(1 + exp(-z))
             sg = np.negative(z, out=sgs[i])
@@ -227,88 +258,132 @@ def _hidden_layers(params: NetworkParams, silu: bool, h, zs, sgs, acts):
     return None
 
 
-def _output_layer(params: NetworkParams, h: np.ndarray, out=None) -> np.ndarray:
+def _output_layer(params: NetworkParams, h: np.ndarray, out=None, check=True) -> np.ndarray:
     out = np.matmul(h, params.weights[-1], out=out)
     out += params.biases[-1]
-    if not _finite(out):
+    if check and not _finite(out):
         raise _diverged(len(params.weights) - 1)
     return out
 
 
-def _blocked_forward(params: NetworkParams, config: MlpConfig, h: np.ndarray) -> np.ndarray:
-    """Run the raw MLP on pre-assembled input h, one row range per worker.
+def _blocked_forward(params: NetworkParams, config: MlpConfig, ws: SimpleNamespace,
+                     check: bool, out=None) -> np.ndarray:
+    """Run the raw MLP on the input rows in ws.inputs, one row range per worker.
 
     Each range walks its rows in ceil(rows / BLOCK_ROWS) near-equal blocks, so
     no block is under BLOCK_ROWS // 2 rows unless its range is: OpenBLAS runs
     a GEMM of a few rows through other kernels (GEMV for one row), whose bytes
-    differ.  A block runs every hidden layer through two ping-pong scratch
-    buffers that stay in L2 and writes its last hidden activation into one
-    (n, hidden) array; the output layer is one full-batch matmul over that
-    array, since its narrow (hidden, dim) GEMM is the one whose bytes depend
-    on the row count.  A block stops at its first non-finite layer, and the
-    lowest such layer over all blocks is the one reported, as a full-batch
-    pass checking layer by layer would.
+    differ.  A block's hidden layers alternate between its rows of ws.top and
+    its range's one block buffer, so the last lands in ws.top, and each silu
+    sigmoid goes into whichever of the two the layer does not write: its input,
+    spent once the matmul has read it.  The output layer is one full-batch
+    matmul over ws.top into `out` (fresh if None), since its narrow (hidden,
+    dim) GEMM is the one whose bytes depend on the row count.  With `check`, a
+    block stops at its first non-finite layer, and the lowest such layer over
+    all blocks is the one reported, as a full-batch pass checking layer by
+    layer would.
     """
-    n = h.shape[0]
     layers = len(params.weights) - 1
     silu = config.activation == "silu"
-    top = np.empty((n, config.hidden_dim))
 
-    def run_range(bounds):
-        lo, hi = bounds
-        rows = min(hi - lo, BLOCK_ROWS)
-        bufs = [np.empty((rows, config.hidden_dim)) for _ in range(2)]
-        sg = np.empty((rows, config.hidden_dim)) if silu else None
+    def run_range(shard):
+        (lo, hi), buf = shard
         failed = []
         for start, stop in split_rows(lo, hi, -(-(hi - lo) // BLOCK_ROWS)):
-            m = stop - start
-            zs = [bufs[i % 2][:m] for i in range(layers - 1)] + [top[start:stop]]
-            sgs = [sg[:m]] * layers if silu else None
-            failed.append(_hidden_layers(params, silu, h[start:stop], zs, sgs, zs))
+            pair = (ws.top[start:stop], buf[: stop - start])
+            # layer i writes zs[i + 1] and its sigmoid into zs[i], its input if i > 0
+            zs = [pair[(layers - i) % 2] for i in range(layers + 1)]
+            h = ws.inputs[start:stop]
+            failed.append(_hidden_layers(params, silu, h, zs[1:], zs, zs[1:], check))
         return [f for f in failed if f is not None]
 
-    failed = sum(map_shards(run_range, worker_rows(n)), [])
+    failed = sum(map_shards(run_range, ws.shards), [])
     if failed:
         raise _diverged(min(failed))
-    return _output_layer(params, top)
+    return _output_layer(params, ws.top, out, check)
 
 
 def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
-    """Network output for a batch; odd in x when antisymmetrize is set."""
+    """Network output for a batch; odd in x when antisymmetrize is set.
+
+    Runs in the calling thread's `_forward_workspace`; the returned array is
+    fresh.  Layers are checked for non-finite values only when `_bounded`
+    cannot rule them out, and then as `_blocked_forward` describes.
+    """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != config.input_dim:
         raise ValueError(f"expected input dim {config.input_dim}, got {x.shape[1]}")
     emb = _embed_sigma(config, sigma, x.shape[0])
-    out = _blocked_forward(params, config, np.concatenate([x, emb], axis=1))
+    ws = _forward_workspace(config, x.shape[0])
+    ws.inputs[:, : config.input_dim] = x
+    ws.inputs[:, config.input_dim :] = emb
+    check = not _bounded(params, ws.inputs)  # -x has the same bound
+    out = _blocked_forward(params, config, ws, check)
     if config.antisymmetrize:
-        out -= _blocked_forward(params, config, np.concatenate([-x, emb], axis=1))
+        np.negative(x, out=ws.inputs[:, : config.input_dim])
+        out -= _blocked_forward(params, config, ws, check, out=ws.neg)
         out *= 0.5
     return out
 
 
-# the calling thread's training workspace and Adam temporaries, if any
+# the calling thread's one workspace (forward or training) and Adam temporaries, if any
 _workspaces = threading.local()
+
+
+def _slot(key, build) -> SimpleNamespace:
+    """The calling thread's workspace for `key`.  A workspace under another
+    key is released before `build()` makes this one, so at most one is alive."""
+    if getattr(_workspaces, "ws", None) is None or _workspaces.ws.key != key:
+        _workspaces.ws = None  # no local name may keep the old one alive
+        _workspaces.ws = build()
+        _workspaces.ws.key = key
+    return _workspaces.ws
+
+
+def drop_workspace() -> None:
+    """Release the calling thread's workspace and Adam temporaries."""
+    _workspaces.ws = _workspaces.adam = None
+
+
+def _forward_workspace(config: MlpConfig, n: int) -> SimpleNamespace:
+    """Buffers for a forward pass on n rows: the assembled input, the last
+    hidden activation `top`, the negative branch's output `neg`, and one block
+    buffer per worker row range.  The caller owns every range's buffer, so
+    pool threads keep none."""
+    ranges = worker_rows(n)
+
+    def build():
+        return SimpleNamespace(
+            inputs=np.empty((n, config.input_dim + config.embed_dim)),
+            top=np.empty((n, config.hidden_dim)),
+            neg=np.empty((n, config.input_dim)) if config.antisymmetrize else None,
+            shards=[((lo, hi), np.empty((min(hi - lo, BLOCK_ROWS), config.hidden_dim)))
+                    for lo, hi in ranges],
+        )
+
+    return _slot(("forward", tuple(config.layer_shapes()), n, config.antisymmetrize,
+                  tuple(ranges)), build)
 
 
 def _workspace(config: MlpConfig, n: int, branches: int) -> SimpleNamespace:
     """The calling thread's workspace for a training step on n rows, rebuilt
     when the layer shapes, n, the activation or the branch count change."""
     shapes = config.layer_shapes()
-    key = (tuple(shapes), n, config.activation, branches)
-    ws = getattr(_workspaces, "ws", None)
-    if ws is None or ws.key != key:
-        silu = config.activation == "silu"
+    silu = config.activation == "silu"
+
+    def build():
         new = lambda dims: [np.empty(d) for d in dims]
         hidden = [(n, fan_out) for _, fan_out in shapes[:-1]]
         zs = [new(hidden + [(n, config.input_dim)]) for _ in range(branches)]
-        ws = _workspaces.ws = SimpleNamespace(
-            key=key, inputs=new([(n, shapes[0][0])] * branches), zs=zs,
+        return SimpleNamespace(
+            inputs=new([(n, shapes[0][0])] * branches), zs=zs,
             sgs=[new(hidden) if silu else [] for _ in zs],
             acts=[new(hidden) if silu else z[:-1] for z in zs],
             ups=new([(n, fan_in) for fan_in, _ in shapes[1:]]), prods=new(shapes),
             deriv=np.empty((n, config.hidden_dim)),
         )
-    return ws
+
+    return _slot((tuple(shapes), n, config.activation, branches), build)
 
 
 def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma):
@@ -487,7 +562,7 @@ def train(
             params = adam_step(params, grads, lr)
             curve[step] = loss
     finally:
-        _workspaces.ws = _workspaces.adam = None
+        drop_workspace()
     return params, curve
 
 

@@ -26,6 +26,7 @@ from manifold_dsm.basescore import (
     base_score_s3,
     exact_score_discrete,
     mc_score_oracle,
+    _softmax_weights,
     posterior_mean_discrete,
 )
 from manifold_dsm.errors import DegenerateInputError, UnreliableEstimateError
@@ -280,6 +281,33 @@ def test_discrete_scores_match_reference_bitwise(rows, per_row_sigma):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+
+
+def test_discrete_weights_where_exp_underflows_match_reference_bitwise():
+    # a two-point support queried at one point, with sigma set so the other
+    # point's logit gap lands on a dense grid where exp turns from subnormal
+    # to 0, and around the -746 cut below which the gap becomes -inf
+    gaps = np.concatenate([np.linspace(-745.2, -745.0, 4001), np.linspace(-746.1, -745.9, 2001)])
+    points = np.array([[0.0, 0.0], [1.0, 0.0]])
+    x = np.zeros((gaps.size, 2))
+    sig = np.sqrt(-0.5 / gaps)
+    got = _softmax_weights(x, sig, points)
+    assert got.tobytes() == ref_logit_weights(x, sig, points).tobytes()
+    assert np.any(got[:, 1] > 0.0) and np.any(got[:, 1] == 0.0)
+
+
+@pytest.mark.parametrize("per_row_sigma", [False, True])
+def test_discrete_scores_match_reference_bitwise_from_sigma_min_to_max(per_row_sigma):
+    # the ring schedule's sigma range: most far logits underflow at small sigma
+    rng = np.random.default_rng(52)
+    sigmas = np.geomspace(1e-4, 4.0, 40)
+    x = 1.5 * rng.standard_normal((sigmas.size * 50, 2))
+    cases = [(x, np.repeat(sigmas, 50))] if per_row_sigma else [(x, s) for s in sigmas]
+    for xs, sig in cases:
+        assert (base_score_discrete(xs, sig, OCTAGON).tobytes()
+                == ref_logit_score(xs, sig, OCTAGON).tobytes())
+        assert (exact_score_discrete(xs, sig, OCTAGON, SKEWED).tobytes()
+                == ref_logit_score(xs, sig, OCTAGON, np.log(SKEWED)).tobytes())
 
 
 @pytest.mark.parametrize("rows", [2, 511, 512, 513, 1025, 4096, 10000, 10001])

@@ -292,6 +292,12 @@ def test_array_and_scalar_shapes():
         assert fn(xs.reshape(7, 1)).tobytes() == out.tobytes()
 
 
+def test_empty_batches_keep_their_shape():
+    for fn in ORDER_0_1_AND_RATIO:
+        for shape in [(0,), (0, 3)]:
+            assert fn(np.zeros(shape)).shape == shape
+
+
 def test_values_do_not_depend_on_the_batch():
     # 3 and 8 sit in the all-small and mixed batches, 8 and 40 in the
     # all-large and mixed ones; every element must equal its lone evaluation

@@ -12,6 +12,7 @@ import struct
 import numpy as np
 import pytest
 
+from manifold_dsm import cli, mlp
 from manifold_dsm.cli import main
 from manifold_dsm.datasets import circle_points, skewed_pmf
 from manifold_dsm.geometry import build_symmetry_group, quat_mul
@@ -345,6 +346,24 @@ def test_sample_deterministic_and_seed_sensitive(tmp_path):
     assert (a / "samples.csv").read_bytes() == (b / "samples.csv").read_bytes()
     assert (a / "samples.csv").read_bytes() != (c / "samples.csv").read_bytes()
     assert json.loads((a / "sample.config.json").read_text())["seed"] == 3
+
+
+def test_sample_releases_the_forward_workspace(tmp_path, monkeypatch):
+    # the forward keeps its buffers from one sampler step to the next, and
+    # the sample command lets go of them when it ends
+    ckpt = trained_run(tmp_path)
+    held = []
+
+    def spy(*args, _real=cli.forward):
+        out = _real(*args)
+        held.append(getattr(mlp._workspaces, "ws", None))
+        return out
+
+    monkeypatch.setattr(cli, "forward", spy)
+    assert main(["sample", "--checkpoint", str(ckpt), "--n", "600", "--num-scales", "5",
+                 "--out", str(tmp_path / "s")]) == 0
+    assert len(held) == 4 and held[0] is not None and all(ws is held[0] for ws in held)
+    assert getattr(mlp._workspaces, "ws", None) is None
 
 
 def test_sample_writes_drift_metric(tmp_path):

@@ -7,7 +7,9 @@ import json
 import struct
 import sys
 import threading
+import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -455,15 +457,19 @@ def test_train_matches_reference_loop_at_one_and_three_workers(monkeypatch, run,
         assert_same_bits(a, b)
 
 
+def workspace_arrays_of(ws):
+    """Every array in a workspace, through its lists and tuples."""
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            return [value]
+        return sum((walk(v) for v in value), []) if isinstance(value, (list, tuple)) else []
+
+    return walk(list(vars(ws).values()))
+
+
 def workspace_arrays():
     ws = getattr(mlp._workspaces, "ws", None)
-    if ws is None:
-        return []
-    out = []
-    for value in vars(ws).values():
-        for item in value if isinstance(value, list) else [value]:
-            out += item if isinstance(item, list) else [item]
-    return [a for a in out if isinstance(a, np.ndarray)]
+    return [] if ws is None else workspace_arrays_of(ws)
 
 
 def backward_case(config, rows, seed):
@@ -724,6 +730,165 @@ def test_blocked_forward_is_stable_under_thread_switching(monkeypatch):
             assert forward(params, cfg, x, 0.2).tobytes() == want
     finally:
         sys.setswitchinterval(interval)
+
+
+def finite_calls(monkeypatch):
+    """A list that gains an entry at every `mlp._finite` call."""
+    calls = []
+
+    def spy(z, _real=mlp._finite):
+        calls.append(z.shape)
+        return _real(z)
+
+    monkeypatch.setattr(mlp, "_finite", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "config", [RING_RELU128, S3_SILU64_ANTISYM], ids=["ring_relu128", "s3_silu64_antisym"])
+def test_bounded_forward_checks_no_layer(monkeypatch, config):
+    # trained-size weights and inputs: the bound proves every layer finite,
+    # so no layer is summed, and the bytes stay the reference's
+    params = randomized_params(config, 46)
+    x = np.random.default_rng(47).standard_normal((10001, config.input_dim))
+    want = ref_forward(params, config, x, 0.3).tobytes()
+    calls = finite_calls(monkeypatch)
+    assert forward_bytes_by_workers(monkeypatch, params, config, x, 0.3) == [want] * 4
+    assert calls == []
+
+
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_forward_past_the_bound_checks_every_layer(monkeypatch, activation):
+    # layer 0 reaches ~1e300 and layer 1 scales it back: every activation is
+    # finite, but the bound passes 1e300, so each layer is checked
+    cfg = tiny_config(hidden_dim=16, num_hidden_layers=3, activation=activation,
+                      antisymmetrize=activation == "silu")
+    params = randomized_params(cfg, 50)
+    params.weights[0][:] *= 1e300
+    params.weights[1][:] *= 1e-300
+    x = np.random.default_rng(51).standard_normal((1025, 2))
+    with np.errstate(over="ignore"):
+        want = ref_forward(params, cfg, x, 0.3)
+        assert np.all(np.isfinite(want))
+        calls = finite_calls(monkeypatch)
+        got = forward_bytes_by_workers(monkeypatch, params, cfg, x, 0.3)
+    assert got == [want.tobytes()] * 4
+    assert calls  # one per layer and block
+    assert not mlp._bounded(params, np.concatenate([x, _embed_sigma(cfg, 0.3, 1025)], axis=1))
+
+
+def test_forward_overflow_in_the_output_layer_alone_names_it():
+    # every hidden layer within the bound, the output layer past it: the
+    # output overflows to inf, and only the output layer may be named
+    cfg = tiny_config(activation="relu")
+    params = randomized_params(cfg, 59)
+    params.weights[-1][:] = 1e308
+    x = np.full((600, 2), 10.0)
+    with np.errstate(over="ignore"):
+        for fn in (forward, ref_forward):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 2"):
+                fn(params, cfg, x, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("antisym", [False, True])
+def test_forward_nonfinite_input_fails_at_layer_0(monkeypatch, bad, antisym):
+    cfg = tiny_config(hidden_dim=16, activation="silu", antisymmetrize=antisym)
+    params = randomized_params(cfg, 52)
+    x = np.random.default_rng(53).standard_normal((1025, 2))
+    x[700, 1] = bad
+    for workers in (1, 3):
+        monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for fn in (forward, ref_forward):
+                with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 0"):
+                    fn(params, cfg, x, 1.0)
+
+
+@pytest.mark.parametrize("antisym", [False, True])
+def test_forward_on_an_empty_batch(antisym):
+    cfg = tiny_config(input_dim=4, activation="silu", antisymmetrize=antisym)
+    params = randomized_params(cfg, 54)
+    out = forward(params, cfg, np.zeros((0, 4)), 0.5)
+    assert out.shape == (0, 4)
+    assert not mlp._bounded(params, np.zeros((0, 5)))
+
+
+def test_forward_workspace_is_reused_and_never_returned():
+    cfg = S3_SILU64_ANTISYM
+    params = randomized_params(cfg, 55)
+    x = np.random.default_rng(56).standard_normal((1025, 4))
+    want = ref_forward(params, cfg, x, 0.3).tobytes()
+    first = forward(params, cfg, x, 0.3)
+    arrays = workspace_arrays()
+    assert arrays and not any(np.shares_memory(first, a) for a in arrays)
+    again = forward(params, cfg, x, 0.3)
+    assert all(a is b for a, b in zip(workspace_arrays(), arrays, strict=True))
+    assert first.tobytes() == again.tobytes() == want
+
+
+def test_forward_in_concurrent_threads_matches_reference(monkeypatch):
+    # four caller threads, two per configuration, each row range on the pool:
+    # a workspace shared between callers would mix their activations
+    monkeypatch.setattr(rowblocks, "_WORKERS", 3)
+    cases = [(config, randomized_params(config, 90 + k),
+              np.random.default_rng(95 + k).standard_normal((1537, config.input_dim)))
+             for k, config in enumerate([RING_RELU128, RING_RELU128,
+                                         S3_SILU64_ANTISYM, S3_SILU64_ANTISYM])]
+    wants = [ref_forward(params, config, x, 0.3).tobytes() for config, params, x in cases]
+    start = threading.Barrier(len(cases))
+    errors, done = [], []
+
+    def run(case, want):
+        config, params, x = case
+        try:
+            start.wait(timeout=30)
+            for _ in range(10):
+                assert forward(params, config, x, 0.3).tobytes() == want
+            done.append(True)
+        except BaseException as exc:  # reported by the main thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=pair) for pair in zip(cases, wants)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[0]
+    assert len(done) == len(cases)
+
+
+def test_forward_and_training_keep_at_most_one_workspace(monkeypatch):
+    # every workspace is built after the one before it is gone, and training
+    # still leaves none behind
+    cfg = tiny_config()
+    params = randomized_params(cfg, 57)
+    x = np.random.default_rng(58).standard_normal((600, 2))
+    alive = []  # per workspace built: whether the one before it still lived
+    previous = [lambda: None]
+
+    def tracked(**arrays):
+        alive.append(previous[0]() is not None)
+        ws = types.SimpleNamespace(**arrays)
+        previous[0] = weakref.ref(next(a for a in workspace_arrays_of(ws)))
+        return ws
+
+    monkeypatch.setattr(mlp, "SimpleNamespace", tracked)
+    train_args = (cfg, "mad", RING.points.copy(), RING, SCHEDULE)
+    forward(params, cfg, x, 0.3)
+    train(*train_args, steps=3, batch_size=8, lr=1e-3, seed=0)
+    assert getattr(mlp._workspaces, "ws", None) is None
+    forward(params, cfg, x, 0.3)
+    forward(params, cfg, x[:5], 0.3)
+    train(*train_args, steps=3, batch_size=8, lr=1e-3, seed=0)
+    assert getattr(mlp._workspaces, "ws", None) is None
+    assert alive == [False] * 5
 
 
 # Row counts around the training split: below 512 rows a batch is one shard

@@ -1,25 +1,33 @@
-"""Time whole-process `mdsm train` runs from two source trees in alternating pairs.
+"""Time whole-process `mdsm train` or `mdsm sample` runs from two source trees
+in alternating pairs.
 
     python tools/train_pairs.py BASE_TREE CHANGE_TREE [--pairs 10]
-        [--workload ring|s3] [--taskset]
+        [--workload ring|s3] [--phase train|sample] [--taskset]
 
 Each tree is a checkout of this repository; its `src/` goes first on
 PYTHONPATH.  Pair k runs the base tree first when k is even and the change
-first when k is odd, each time as a fresh `python -m manifold_dsm.cli train`
-in a temporary directory, under `taskset -c 0` with --taskset.  The timing is
-the wall time of the whole process, so it includes start-up and every
-allocation the program makes, unlike a speed-adjusted benchmark figure.  As
-in perfbench, BLAS and OpenMP pools run one thread unless the environment
-sets them; the first line printed gives the settings in effect.
+first when k is odd, each time as a fresh `python -m manifold_dsm.cli` process
+writing into its own temporary directory, under `taskset -c 0` with
+--taskset.  The timing is the wall time of the whole process, so it includes
+start-up and every allocation the program makes, unlike a speed-adjusted
+benchmark figure.  As in perfbench, BLAS and OpenMP pools run one thread
+unless the environment sets them; the first line printed gives the settings
+in effect.
 
 Workloads: `ring` is the README's ring run (relu 128x3, batch 512, 2000
 steps, seed 2, dataset seed 102); `s3` is the antisymmetrized silu 64x3 S^3
 run at batch 128 (1000 steps, seed 2, dataset seed 202).
 
+Phases: `train` times `mdsm train` and compares `checkpoint.bin` and
+`loss.csv`.  `sample` first trains one checkpoint with the base tree (not
+timed), then times `mdsm sample --num-scales 300` from it, at n = 10000 with
+seed 502 on the ring and n = 4096 with seed 602 on S^3, and compares
+`samples.csv` and `metrics.log`.
+
 Prints every pair, then per tree the median and quartiles of the seconds,
-the number of pairs the change won, and the sha256 of `checkpoint.bin` and
-`loss.csv` (one line per distinct value seen).  Exits 1 unless every run
-wrote the same bytes.  Uses the standard library only.
+the number of pairs the change won, and the sha256 of each compared artifact
+(one line per distinct value seen).  Exits 1 unless every run wrote the same
+bytes.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import argparse
 import hashlib
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -56,26 +65,23 @@ CONFIGS = {
                      "lr": 2e-3, "seed": 2, "n_data": 4096},
     },
 }
-ARTIFACTS = ("checkpoint.bin", "loss.csv")
+SAMPLES = {"ring": (10_000, 502), "s3": (4096, 602)}  # `mdsm sample` --n and --seed
+SAMPLE_SCALES = 300
+ARTIFACTS = {"train": ("checkpoint.bin", "loss.csv"), "sample": ("samples.csv", "metrics.log")}
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_once(tree: Path, config: dict, taskset: bool) -> tuple[float, dict[str, str]]:
-    """Wall seconds of one `mdsm train` from `tree`, and its artifacts' sha256."""
-    with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "run.json"
-        cfg.write_text(json.dumps({**config, "out_dir": str(Path(tmp) / "out")}))
-        env = {**dict.fromkeys(THREAD_VARS, "1"), **os.environ}
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        argv = [sys.executable, "-m", "manifold_dsm.cli", "train", "--config", str(cfg)]
-        if taskset:
-            argv = ["taskset", "-c", "0"] + argv
-        start = time.perf_counter()
-        subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
-        seconds = time.perf_counter() - start
-        return seconds, {name: hashlib.sha256((Path(tmp) / "out" / name).read_bytes()).hexdigest()
-                         for name in ARTIFACTS}
+def run_once(tree: Path, argv: list[str], out: Path, taskset: bool) -> float:
+    """Wall seconds of one `mdsm <argv> --out <out>` process from `tree`."""
+    env = {**dict.fromkeys(THREAD_VARS, "1"), **os.environ}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(tree / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = [sys.executable, "-m", "manifold_dsm.cli", *argv, "--out", str(out)]
+    if taskset:
+        argv = ["taskset", "-c", "0"] + argv
+    start = time.perf_counter()
+    subprocess.run(argv, env=env, check=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - start
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -91,6 +97,7 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", choices=sorted(CONFIGS), default="ring")
+    parser.add_argument("--phase", choices=sorted(ARTIFACTS), default="train")
     parser.add_argument("--taskset", action="store_true", help="run each process on CPU 0 only")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -99,32 +106,49 @@ def main(argv=None) -> int:
     for tree in trees.values():
         if not (tree / "src" / "manifold_dsm").is_dir():
             parser.error(f"{tree} has no src/manifold_dsm")
+    with tempfile.TemporaryDirectory() as tmp:
+        return compare(trees, args, Path(tmp))
+
+
+def compare(trees: dict[str, Path], args, tmp: Path) -> int:
+    """Run the pairs with their files under tmp, print the summary, and return
+    the exit status."""
+    cfg = tmp / "run.json"
+    cfg.write_text(json.dumps(CONFIGS[args.workload]))
+    command = ["train", "--config", str(cfg)]
+    if args.phase == "sample":
+        run_once(trees["base"], command, tmp / "checkpoint", args.taskset)
+        n, seed = SAMPLES[args.workload]
+        command = ["sample", "--checkpoint", str(tmp / "checkpoint" / "checkpoint.bin"),
+                   "--n", str(n), "--num-scales", str(SAMPLE_SCALES), "--seed", str(seed)]
+    artifacts = ARTIFACTS[args.phase]
 
     threads = {var: os.environ.get(var, "1") for var in THREAD_VARS}
     print(" ".join(f"{var}={value}" for var, value in threads.items()), flush=True)
     seconds = {side: [] for side in trees}
-    hashes = {side: {name: set() for name in ARTIFACTS} for side in trees}
+    hashes = {side: {name: set() for name in artifacts} for side in trees}
     wins = 0
     for k in range(args.pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
         for side in order:
-            s, digests = run_once(trees[side], CONFIGS[args.workload], args.taskset)
-            seconds[side].append(s)
-            for name, digest in digests.items():
-                hashes[side][name].add(digest)
+            out = tmp / "out"
+            seconds[side].append(run_once(trees[side], command, out, args.taskset))
+            for name in artifacts:
+                hashes[side][name].add(hashlib.sha256((out / name).read_bytes()).hexdigest())
+            shutil.rmtree(out)
         wins += seconds["change"][-1] < seconds["base"][-1]
         print(f"pair {k + 1:2d} ({order[0]} first): base {seconds['base'][-1]:.3f} s, "
               f"change {seconds['change'][-1]:.3f} s", flush=True)
 
     pin = " under taskset -c 0" if args.taskset else ""
-    print(f"\n{args.workload} mdsm train, {args.pairs} pairs{pin}: median [q1, q3] seconds")
+    print(f"\n{args.workload} mdsm {args.phase}, {args.pairs} pairs{pin}: median [q1, q3] seconds")
     for side in trees:
         q1, med, q3 = quartiles(seconds[side])
         print(f"  {side:6s} {med:.3f} [{q1:.3f}, {q3:.3f}]")
     ratio = statistics.median(seconds["change"]) / statistics.median(seconds["base"])
     print(f"  change/base median x{ratio:.3f}; change faster in {wins}/{args.pairs} pairs")
     for side in trees:
-        for name in ARTIFACTS:
+        for name in artifacts:
             for digest in sorted(hashes[side][name]):
                 print(f"  {side:6s} sha256 {name:14s} {digest}")
     same = hashes["base"] == hashes["change"] and all(
