@@ -117,10 +117,11 @@ def reverse_sample(
                + sqrt(s_i^2 - s_{i+1}^2) eps.
 
     Noise is drawn as one (n, dim) block per step in sample order, and
-    score_field sees the whole batch once per step; the network splits that
-    batch into one row range per CPU inside the call, with bytes equal to one
-    full-batch pass, while the base score takes it whole on the calling
-    thread.  Returns the (n, dim) final state.
+    score_field sees the whole batch once per step; the network walks that
+    batch in blocks of at most 512 rows on a grid fixed by n, spread over the
+    CPUs inside the call with bytes that do not depend on the CPU count, while
+    the base score takes it whole on the calling thread.  Returns the (n, dim)
+    final state.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

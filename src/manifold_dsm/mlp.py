@@ -14,9 +14,13 @@ score.
 
 Parameters, gradients and both Adam moments are each one float64 vector laid
 out w0, b0, w1, b1, ...; the per-layer `weights` and `biases` are views into
-it.  `forward` and `backward` split their rows over the CPUs the process may
-use (`rowblocks.worker_rows`); outputs, losses and gradients are bitwise the
-same at any CPU count.  `backward` checks every layer for non-finite values.
+it.  `backward` splits its rows into one range per CPU the process may use
+(`rowblocks.worker_rows`), with losses and gradients bitwise those of one
+full-batch pass.  `forward` runs every layer one block of at most 512 rows at
+a time, on a grid of blocks that depends on the row count alone, and deals
+each CPU a run of whole blocks (`rowblocks.worker_blocks`); its bytes equal
+one pass per block of that grid.  Both are bitwise the same at any CPU count.
+`backward` checks every layer for non-finite values.
 `forward` first bounds every layer's magnitude from its input and the weights
 (`_bounded`) and checks layer by layer only when that bound cannot rule out
 nan or inf.  Each runs in the calling thread's one workspace slot, which holds
@@ -43,7 +47,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import CheckpointFormatError, TrainingDivergedError
-from .rowblocks import BLOCK_ROWS, map_shards, split_rows, worker_rows
+from .rowblocks import BLOCK_ROWS, map_shards, worker_blocks, worker_rows
 
 __all__ = [
     "MlpConfig",
@@ -258,57 +262,76 @@ def _hidden_layers(params: NetworkParams, silu: bool, h, zs, sgs, acts, check=Tr
     return None
 
 
-def _output_layer(params: NetworkParams, h: np.ndarray, out=None, check=True) -> np.ndarray:
-    out = np.matmul(h, params.weights[-1], out=out)
+def _output_layer(params: NetworkParams, h: np.ndarray, out: np.ndarray, check=True) -> bool:
+    """Run the output layer from h into out; False if `check` finds a
+    non-finite entry there."""
+    np.matmul(h, params.weights[-1], out=out)
     out += params.biases[-1]
-    if check and not _finite(out):
-        raise _diverged(len(params.weights) - 1)
-    return out
+    return not check or _finite(out)
 
 
 def _blocked_forward(params: NetworkParams, config: MlpConfig, ws: SimpleNamespace,
-                     check: bool, out=None) -> np.ndarray:
-    """Run the raw MLP on the input rows in ws.inputs, one row range per worker.
+                     check: bool, out: np.ndarray) -> None:
+    """Run the net on the input rows in ws.inputs into `out`, block by block.
 
-    Each range walks its rows in ceil(rows / BLOCK_ROWS) near-equal blocks, so
-    no block is under BLOCK_ROWS // 2 rows unless its range is: OpenBLAS runs
-    a GEMM of a few rows through other kernels (GEMV for one row), whose bytes
-    differ.  A block's hidden layers alternate between its rows of ws.top and
-    its range's one block buffer, so the last lands in ws.top, and each silu
-    sigmoid goes into whichever of the two the layer does not write: its input,
-    spent once the matmul has read it.  The output layer is one full-batch
-    matmul over ws.top into `out` (fresh if None), since its narrow (hidden,
-    dim) GEMM is the one whose bytes depend on the row count.  With `check`, a
-    block stops at its first non-finite layer, and the lowest such layer over
-    all blocks is the one reported, as a full-batch pass checking layer by
-    layer would.
+    The blocks are `worker_blocks`' grid, which depends on the row count
+    alone, and each worker walks its run of them, so the bytes do not depend
+    on the CPU count: OpenBLAS runs a GEMM of a few rows through other kernels
+    (GEMV for one row), and the narrow (hidden, dim) output GEMM's bytes
+    depend on its row count.  A block runs every layer while its rows stay in
+    cache: its hidden layers alternate between the run's two block buffers,
+    each silu sigmoid going into the one the layer does not write, and the
+    output layer writes the block's rows of `out`.  With antisymmetrize the
+    block then runs again on [-x || embed] from the run's negative input
+    buffer into its negative output buffer, and its rows of `out` become
+    (f(x) - f(-x)) / 2.  With `check`, a branch stops at its first non-finite
+    layer, the output layer counting as the last, and the error names the
+    positive branch's lowest such layer over all blocks, else the negative
+    branch's, as full-batch passes checking layer by layer would.
     """
     layers = len(params.weights) - 1
     silu = config.activation == "silu"
+    dim = config.input_dim
 
-    def run_range(shard):
-        (lo, hi), buf = shard
+    def run_blocks(shard):  # the run's lowest failing (branch, layer), if any
+        blocks, pair, neg_in, neg_out = shard
         failed = []
-        for start, stop in split_rows(lo, hi, -(-(hi - lo) // BLOCK_ROWS)):
-            pair = (ws.top[start:stop], buf[: stop - start])
+        for start, stop in blocks:
+            rows = stop - start
             # layer i writes zs[i + 1] and its sigmoid into zs[i], its input if i > 0
-            zs = [pair[(layers - i) % 2] for i in range(layers + 1)]
-            h = ws.inputs[start:stop]
-            failed.append(_hidden_layers(params, silu, h, zs[1:], zs, zs[1:], check))
-        return [f for f in failed if f is not None]
+            zs = [pair[(i + 1) % 2][:rows] for i in range(layers + 1)]
+            branches = [(ws.inputs[start:stop], out[start:stop])]
+            if neg_in is not None:
+                h = neg_in[:rows]
+                np.negative(ws.inputs[start:stop, :dim], out=h[:, :dim])
+                h[:, dim:] = ws.inputs[start:stop, dim:]
+                branches.append((h, neg_out[:rows]))
+            for branch, (h, dest) in enumerate(branches):
+                layer = _hidden_layers(params, silu, h, zs[1:], zs, zs[1:], check)
+                if layer is None and not _output_layer(params, zs[-1], dest, check):
+                    layer = layers
+                if layer is not None:
+                    failed.append((branch, layer))
+                    break
+            else:
+                if neg_in is not None:
+                    out[start:stop] -= neg_out[:rows]
+                    out[start:stop] *= 0.5
+        return min(failed, default=None)
 
-    failed = sum(map_shards(run_range, ws.shards), [])
+    failed = [f for f in map_shards(run_blocks, ws.shards) if f is not None]
     if failed:
-        raise _diverged(min(failed))
-    return _output_layer(params, ws.top, out, check)
+        raise _diverged(min(failed)[1])
 
 
 def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     """Network output for a batch; odd in x when antisymmetrize is set.
 
-    Runs in the calling thread's `_forward_workspace`; the returned array is
+    Runs in the calling thread's `_forward_workspace`, one block of at most
+    512 rows at a time as `_blocked_forward` describes, so the bytes of a row
+    depend on the row count but not on the CPU count; the returned array is
     fresh.  Layers are checked for non-finite values only when `_bounded`
-    cannot rule them out, and then as `_blocked_forward` describes.
+    cannot rule them out.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != config.input_dim:
@@ -318,11 +341,8 @@ def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     ws.inputs[:, : config.input_dim] = x
     ws.inputs[:, config.input_dim :] = emb
     check = not _bounded(params, ws.inputs)  # -x has the same bound
-    out = _blocked_forward(params, config, ws, check)
-    if config.antisymmetrize:
-        np.negative(x, out=ws.inputs[:, : config.input_dim])
-        out -= _blocked_forward(params, config, ws, check, out=ws.neg)
-        out *= 0.5
+    out = np.empty((x.shape[0], config.input_dim))
+    _blocked_forward(params, config, ws, check, out)
     return out
 
 
@@ -346,23 +366,26 @@ def drop_workspace() -> None:
 
 
 def _forward_workspace(config: MlpConfig, n: int) -> SimpleNamespace:
-    """Buffers for a forward pass on n rows: the assembled input, the last
-    hidden activation `top`, the negative branch's output `neg`, and one block
-    buffer per worker row range.  The caller owns every range's buffer, so
-    pool threads keep none."""
-    ranges = worker_rows(n)
+    """Buffers for a forward pass on n rows: the assembled input, and per
+    worker run of blocks (`worker_blocks`) the run's blocks, its two hidden
+    block buffers and, with antisymmetrize, its negative branch's block input
+    and output (else None).  No buffer of hidden width holds more than a
+    block.  The caller owns every run's buffers, so pool threads keep none."""
+    runs = worker_blocks(n)
+    width = config.input_dim + config.embed_dim
 
     def build():
+        block = lambda cols: np.empty((min(n, BLOCK_ROWS), cols))
+        neg = config.antisymmetrize
         return SimpleNamespace(
-            inputs=np.empty((n, config.input_dim + config.embed_dim)),
-            top=np.empty((n, config.hidden_dim)),
-            neg=np.empty((n, config.input_dim)) if config.antisymmetrize else None,
-            shards=[((lo, hi), np.empty((min(hi - lo, BLOCK_ROWS), config.hidden_dim)))
-                    for lo, hi in ranges],
+            inputs=np.empty((n, width)),
+            shards=[(blocks, (block(config.hidden_dim), block(config.hidden_dim)),
+                     block(width) if neg else None, block(config.input_dim) if neg else None)
+                    for blocks in runs],
         )
 
     return _slot(("forward", tuple(config.layer_shapes()), n, config.antisymmetrize,
-                  tuple(ranges)), build)
+                  tuple(map(tuple, runs))), build)
 
 
 def _workspace(config: MlpConfig, n: int, branches: int) -> SimpleNamespace:
@@ -426,7 +449,8 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     for branch, zs in enumerate(ws.zs):
         if branch == failed[0]:
             raise _diverged(failed[1])
-        _output_layer(params, ws.acts[branch][-1], out=zs[-1])
+        if not _output_layer(params, ws.acts[branch][-1], zs[-1]):
+            raise _diverged(len(params.weights) - 1)
     out = ws.zs[0][-1]
     if config.antisymmetrize:
         out -= ws.zs[1][-1]

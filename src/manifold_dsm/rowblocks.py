@@ -1,14 +1,17 @@
-"""One contiguous row range per CPU, run on a thread pool.
+"""One contiguous row range, or run of row blocks, per CPU, run on a thread pool.
 
 The sampler evaluates its score field on every sample at once (10k rows and
-more) and the trainer regresses on a batch of a few hundred rows.  Both split
-their rows the same way: `worker_rows` gives one near-equal contiguous range
-per CPU the process may use, once a batch reaches BLOCK_ROWS rows, and
-`map_shards` runs one function per range.  `split_rows` is the one near-equal
-cut behind those ranges and behind the sampler's blocks within a range.
-Callers split only work whose result for a row does not depend on how many
-rows come with it, which the tests compare byte for byte with full-batch
-reference passes.
+more) and the trainer regresses on a batch of a few hundred rows.  The trainer
+splits its rows with `worker_rows`: one near-equal contiguous range per CPU
+the process may use, once a batch reaches BLOCK_ROWS rows.  The sampler's
+forward cuts its rows into a grid of near-equal blocks of at most BLOCK_ROWS
+rows that depends on the row count alone, and `worker_blocks` deals each CPU
+one contiguous run of whole blocks.  `split_rows` is the one near-equal cut
+behind the ranges, the grid and the runs, and `map_shards` runs one function
+per range or run.  The trainer splits only work whose result for a row does
+not depend on how many rows come with it, which the tests compare byte for
+byte with full-batch reference passes; the forward's blocks are compared with
+a reference pass per block of the same grid.
 
 The calling thread runs the first range and a pool, created on first use,
 the others.  Pool threads run their range in a copy of the caller's
@@ -90,6 +93,15 @@ def worker_rows(n: int) -> list[tuple[int, int]]:
     once n >= BLOCK_ROWS; else the one range (0, n), since a pool round trip
     costs more than splitting a smaller batch saves."""
     return split_rows(0, n, min(_WORKERS, n // 2) if n >= BLOCK_ROWS else 1)
+
+
+def worker_blocks(n: int) -> list[list[tuple[int, int]]]:
+    """The ceil(n / BLOCK_ROWS) near-equal blocks of n rows, dealt out as one
+    contiguous run of whole blocks per worker, at most one run per block.
+    The blocks depend on n alone, so a per-block result does not depend on
+    the worker count; each holds 256 to 512 rows once n > BLOCK_ROWS."""
+    blocks = split_rows(0, n, -(-n // BLOCK_ROWS))
+    return [blocks[a:b] for a, b in split_rows(0, len(blocks), min(_WORKERS, len(blocks)))]
 
 
 def map_shards(fn, items: list) -> list:

@@ -12,11 +12,11 @@ import struct
 import numpy as np
 import pytest
 
-from manifold_dsm import cli, mlp
+from manifold_dsm import cli, mlp, rowblocks
 from manifold_dsm.cli import main
 from manifold_dsm.datasets import circle_points, skewed_pmf
 from manifold_dsm.geometry import build_symmetry_group, quat_mul
-from manifold_dsm.mlp import MlpConfig, init_params, save_checkpoint
+from manifold_dsm.mlp import MlpConfig, init_params, load_checkpoint, save_checkpoint
 from test_mlp import rebuild_blob
 
 
@@ -364,6 +364,30 @@ def test_sample_releases_the_forward_workspace(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "s")]) == 0
     assert len(held) == 4 and held[0] is not None and all(ws is held[0] for ws in held)
     assert getattr(mlp._workspaces, "ws", None) is None
+
+
+# At 2049 rows, blocks cut from each worker's range would hold 341-342 rows
+# at three workers and 409-410 at one, and the ring's samples would differ.
+@pytest.mark.parametrize(
+    "run, n", [(README_RUN, "1537"), (README_RUN, "2049"), (S3_RUN, "1537")],
+    ids=["readme_ring-1537", "readme_ring-2049", "antisymmetric_s3-1537"])
+def test_sample_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, run, n):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(run))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    # a two-step net's output is too small to move a sample's last bit
+    ckpt = tmp_path / "run" / "checkpoint.bin"
+    params, config, extras = load_checkpoint(ckpt)
+    params.weights[-1][:] = np.random.default_rng(3).uniform(-0.5, 0.5, params.weights[-1].shape)
+    save_checkpoint(ckpt, params, config, extras)
+    written = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+        out = tmp_path / f"s{workers}"
+        assert main(["sample", "--checkpoint", str(ckpt),
+                     "--n", n, "--num-scales", "20", "--out", str(out)]) == 0
+        written.append([(out / name).read_bytes() for name in ("samples.csv", "metrics.log")])
+    assert written[1] == written[0] and written[2] == written[0]
 
 
 def test_sample_writes_drift_metric(tmp_path):

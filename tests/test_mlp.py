@@ -275,12 +275,34 @@ def ref_plain_forward(params, config, h, keep):
     return (h, pre, post) if keep else h
 
 
+def ref_grid(n):
+    """The forward's blocks: ceil(n / 512) near-equal contiguous pieces of n rows."""
+    parts = -(-n // 512)
+    return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
+
+
+def ref_blocks(params, config, h):
+    """One allocating pass per block of `ref_grid`; a failure names the
+    lowest failing layer over all blocks."""
+    outs, failed = [], []
+    for start, stop in ref_grid(h.shape[0]):
+        try:
+            outs.append(ref_plain_forward(params, config, h[start:stop], keep=False))
+        except TrainingDivergedError as exc:
+            failed.append(int(str(exc).rsplit(" ", 1)[1]))
+    if failed:
+        raise TrainingDivergedError(f"non-finite activations at layer {min(failed)}")
+    return np.concatenate(outs) if outs else np.empty((0, config.input_dim))
+
+
 def ref_forward(params, config, x, sigma):
+    """The forward's reference: `ref_blocks` on [x || embed], then, with
+    antisymmetrize, on [-x || embed]; the positive branch fails first."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     emb = _embed_sigma(config, sigma, x.shape[0])
-    out = ref_plain_forward(params, config, np.concatenate([x, emb], axis=1), keep=False)
+    out = ref_blocks(params, config, np.concatenate([x, emb], axis=1))
     if config.antisymmetrize:
-        out_neg = ref_plain_forward(params, config, np.concatenate([-x, emb], axis=1), keep=False)
+        out_neg = ref_blocks(params, config, np.concatenate([-x, emb], axis=1))
         out = 0.5 * (out - out_neg)
     return out
 
@@ -632,28 +654,51 @@ def test_blocked_forward_matches_reference_bitwise_at_width_512(monkeypatch, act
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_forward_blocks_hold_half_a_block_to_a_block(monkeypatch, workers):
-    # every block of a range longer than BLOCK_ROWS holds 256-512 rows
+    # the grid of 256-512-row blocks depends on the row count alone, and each
+    # worker walks one contiguous run of whole blocks
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
-    calls = []
+    walked = []
 
-    def spy(lo, hi, parts):
-        blocks = rowblocks.split_rows(lo, hi, parts)
-        calls.append(((lo, hi), blocks))
-        return blocks
+    def spy(params, silu, h, *rest, _real=mlp._hidden_layers):
+        walked.append(h.shape[0])
+        return _real(params, silu, h, *rest)
 
-    monkeypatch.setattr(mlp, "split_rows", spy)
+    monkeypatch.setattr(mlp, "_hidden_layers", spy)
     cfg = tiny_config(hidden_dim=8)
     params = randomized_params(cfg, 44)
     for rows in [1, 511, 512, 513, 1023, 1025, 1537, 2049, 10000]:
-        calls.clear()
+        grid = ref_grid(rows)
+        sizes = [stop - start for start, stop in grid]
+        assert max(sizes) <= rowblocks.BLOCK_ROWS
+        assert min(sizes) >= min(rows, rowblocks.BLOCK_ROWS // 2)
+        runs = rowblocks.worker_blocks(rows)
+        assert len(runs) == min(workers, len(grid)) and all(runs)
+        assert sum(runs, []) == grid
+        walked.clear()
         forward(params, cfg, np.zeros((rows, 2)), 0.3)
-        assert sorted(bounds for bounds, _ in calls) == rowblocks.worker_rows(rows)
-        for (lo, hi), blocks in calls:
-            assert blocks[0][0] == lo and blocks[-1][1] == hi
-            assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
-            sizes = [stop - start for start, stop in blocks]
-            assert max(sizes) <= rowblocks.BLOCK_ROWS
-            assert min(sizes) >= min(hi - lo, rowblocks.BLOCK_ROWS // 2)
+        assert [blocks for blocks, *_ in mlp._workspaces.ws.shards] == runs
+        assert sorted(walked) == sorted(sizes)
+
+
+@pytest.mark.parametrize(
+    "config", [RING_RELU128, S3_SILU64_ANTISYM], ids=["ring_relu128", "s3_silu64_antisym"])
+def test_forward_workspace_holds_no_full_batch_activation(monkeypatch, config):
+    # per run of blocks: two block buffers of hidden width and, antisymmetrized,
+    # the negative branch's block input and output; only the assembled input
+    # spans the batch
+    params = randomized_params(config, 46)
+    x = np.random.default_rng(47).standard_normal((10001, config.input_dim))
+    width = config.input_dim + config.embed_dim
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+        forward(params, config, x, 0.3)
+        runs = len(rowblocks.worker_blocks(10001))
+        arrays = workspace_arrays()
+        hidden = [a.shape[0] for a in arrays if a.shape[1] == config.hidden_dim]
+        assert max(hidden) <= rowblocks.BLOCK_ROWS and len(hidden) <= 2 * runs
+        rest = [a.shape for a in arrays if a.shape[1] != config.hidden_dim]
+        assert [s for s in rest if s[0] > rowblocks.BLOCK_ROWS] == [(10001, width)]
+        assert len(rest) - 1 <= 2 * runs * config.antisymmetrize
 
 
 @pytest.mark.parametrize(
@@ -695,6 +740,50 @@ def test_blocked_forward_reports_the_lowest_failing_layer(monkeypatch, workers):
         x[-1, 0] = np.nan  # last block: nan from layer 0 on
         for fn in (forward, ref_forward):
             with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 0"):
+                fn(params, cfg, x, 1.0)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_forward_names_the_positive_branch_before_the_negative(monkeypatch, workers):
+    # last block: +x reaches -inf at layer 2; first block: only -x overflows,
+    # at layer 0, through the sigma embedding's weight, which -x does not negate
+    monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+    cfg, params = diverging_params()
+    cfg = dataclasses.replace(cfg, antisymmetrize=True)
+    params.weights[0][2] = 1e308
+    x = np.zeros((1537, 2))
+    x[0, 0] = -1e308
+    x[-1, 0] = 1e200
+    sig = np.ones(1537)
+    sig[0] = np.e
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (forward, ref_forward):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 2$"):
+                fn(params, cfg, x, sig)
+        x[-1, 0] = 0.0
+        for fn in (forward, ref_forward):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 0$"):
+                fn(params, cfg, x, sig)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_forward_names_a_hidden_layer_before_the_output_layer(monkeypatch, workers):
+    # first block: every hidden layer finite, the output overflows (layer 3);
+    # last block: layer 1 overflows
+    monkeypatch.setattr(rowblocks, "_WORKERS", workers)
+    cfg, params = diverging_params()
+    params.weights[2][:] = 1.0
+    params.weights[3][:] = 1e300
+    x = np.zeros((1537, 2))
+    x[0, 0] = 1e10
+    x[-1, 0] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fn in (forward, ref_forward):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 1$"):
+                fn(params, cfg, x, 1.0)
+        x[-1, 0] = 0.0
+        for fn in (forward, ref_forward):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 3$"):
                 fn(params, cfg, x, 1.0)
 
 
