@@ -11,11 +11,12 @@ integers >= 0 and half-integers >= -1/2.  The evaluation strategy per order:
   (Moshier, "Methods and Programs for Mathematical Functions", 1989), summed
   for both pieces in one Clenshaw loop.  The coefficients come from
   tools/gen_bessel_i01.py.
-* remaining orders: the large-x asymptotic expansion (DLMF 10.40.1) where it
-  converges fast, otherwise the three-term recurrence run in its numerically
-  stable downward direction, i.e. ratios I_{k+1}/I_k from the Gauss continued
-  fraction chained up from the order-1 or order-1/2 base value.  The upward
-  recurrence subtracts nearly equal terms and is avoided.
+* remaining orders: the order-1 or order-1/2 base value divided by each ratio
+  I_{k-1}/I_k up to nu.  A ratio is the quotient of two large-x asymptotic
+  expansions (DLMF 10.40.1) where they converge fast, otherwise the
+  three-term recurrence run in its numerically stable downward direction, as
+  the Gauss continued fraction.  The upward recurrence subtracts nearly equal
+  terms and is avoided.
 
 Everything is evaluated in scaled form e^{-x} I_nu(x) internally; the unscaled
 value is reconstructed on demand.  Scaled values stay finite for arguments up
@@ -36,8 +37,8 @@ import numpy as np
 
 __all__ = ["bessel_i", "bessel_i_scaled", "bessel_ratio", "bessel_ratio_i0_i1"]
 
-# Orders >= 2 use the asymptotic expansion from this argument on (where it
-# also needs 4 nu^2 <= x); it reaches <= 1e-12 relative error there.
+# Ratios use the asymptotic expansions from this argument on (where they
+# also need 4 nu^2 <= x); they reach <= 1e-12 relative error there.
 _CROSSOVER = 15.0
 # Stop summing once a term drops below this fraction of the partial sum.
 _TAIL = 1e-17
@@ -216,22 +217,24 @@ def _ie_positive(nu: float, x: np.ndarray) -> np.ndarray:
     if nu == -0.5:
         return _imhalf_e(x)
 
-    # Higher orders: asymptotic directly where it is safely convergent,
-    # otherwise chain continued-fraction ratios up from the base order.
+    # higher orders: the base order's value divided by each ratio up to nu
+    base = 1.0 if nu == round(nu) else 0.5
+    val = _ie_positive(base, x)
+    for k in np.arange(base + 1.0, nu + 0.5):
+        val = val / _ratio(k, x)
+    return val
+
+
+def _ratio(nu: float, x: np.ndarray) -> np.ndarray:
+    """I_{nu-1}(x) / I_nu(x) for 1-D x > 0: the quotient of the asymptotic
+    expansions where x >= _CROSSOVER and 4 nu^2 <= x, else the Gauss continued
+    fraction for I_nu / I_{nu-1}."""
     out = np.empty_like(x)
     direct = (x >= _CROSSOVER) & (4.0 * nu * nu <= x)
     if direct.any():
-        out[direct] = _asym_ie(nu, x[direct])
-    rest = ~direct
-    if rest.any():
-        xr = x[rest]
-        base = 1.0 if nu == round(nu) else 0.5
-        val = _ie_positive(base, xr)
-        k = base
-        while k < nu:
-            val = val * _ratio_cf(k, xr)
-            k += 1.0
-        out[rest] = val
+        out[direct] = _asym_ie(nu - 1.0, x[direct]) / _asym_ie(nu, x[direct])
+    if not direct.all():
+        out[~direct] = 1.0 / _ratio_cf(nu - 1.0, x[~direct])
     return out
 
 
@@ -305,10 +308,8 @@ def bessel_ratio_i0_i1(x):
 def bessel_ratio(nu, x):
     """I_{nu-1}(x) / I_nu(x) for an order nu >= 0 (I_{-1} = I_1) and finite x > 0.
 
-    The quotient of the asymptotic expansions where x >= 15 and 4 nu^2 <= x,
-    otherwise the Gauss continued fraction for I_nu / I_{nu-1}; neither forms
-    an I_nu value, so the ratio survives where e^{-x} I_nu(x) underflows
-    (high order, small x).
+    Neither of `_ratio`'s two forms builds an I_nu value, so the ratio
+    survives where e^{-x} I_nu(x) underflows (high order, small x).
     """
     order = _as_order(nu)
     arr = np.asarray(x, dtype=np.float64)
@@ -316,11 +317,4 @@ def bessel_ratio(nu, x):
         raise ValueError(f"bessel_ratio needs an order >= 0, got {order}")
     if not np.all((arr > 0.0) & (arr < np.inf)):
         raise ValueError("bessel_ratio requires finite x > 0")
-    flat = arr.ravel()
-    out = np.empty_like(flat)
-    direct = (flat >= _CROSSOVER) & (4.0 * order * order <= flat)
-    if direct.any():
-        out[direct] = _asym_ie(order - 1.0, flat[direct]) / _asym_ie(order, flat[direct])
-    if not direct.all():
-        out[~direct] = 1.0 / _ratio_cf(order - 1.0, flat[~direct])
-    return _match_shape(out.reshape(arr.shape), x)
+    return _match_shape(_ratio(order, arr.ravel()).reshape(arr.shape), x)

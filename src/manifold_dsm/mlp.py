@@ -14,14 +14,12 @@ score.
 
 Parameters, gradients and both Adam moments are each one float64 vector laid
 out w0, b0, w1, b1, ...; the per-layer `weights` and `biases` are views into
-it.  `backward` splits its rows into one range per CPU the process may use
-(`rowblocks.worker_rows`), with losses and gradients bitwise those of one
-full-batch pass.  `forward` runs every layer one block of at most 512 rows at
-a time, on a grid of blocks that depends on the row count alone, and deals
-each CPU a run of whole blocks (`rowblocks.worker_blocks`); its bytes equal
-one pass per block of that grid.  Both are bitwise the same at any CPU count.
-`backward` checks every layer for non-finite values.
-`forward` first bounds every layer's magnitude from its input and the weights
+it.  `backward` is one full-batch pass on the calling thread and checks every
+layer for non-finite values.  `forward` runs every layer one block of at most
+512 rows at a time, on a grid of blocks that depends on the row count alone,
+and deals each CPU a run of whole blocks (`rowblocks.worker_blocks`); its
+bytes equal one pass per block of that grid, the same at any CPU count.  It
+first bounds every layer's magnitude from its input and the weights
 (`_bounded`) and checks layer by layer only when that bound cannot rule out
 nan or inf.  Each runs in the calling thread's one workspace slot, which holds
 the buffers of the last forward or training step shape and is released before
@@ -47,7 +45,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import CheckpointFormatError, TrainingDivergedError
-from .rowblocks import BLOCK_ROWS, map_shards, worker_blocks, worker_rows
+from .rowblocks import BLOCK_ROWS, map_shards, worker_blocks
 
 __all__ = [
     "MlpConfig",
@@ -412,12 +410,12 @@ def _workspace(config: MlpConfig, n: int, branches: int) -> SimpleNamespace:
 def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma):
     """Loss mean ||sigma f - target||^2 over rows, and its parameter gradients.
 
-    Runs in the calling thread's `_workspace`.  Each worker row range runs the
-    hidden layers and then, branch by branch, the input gradients
-    g <- (g @ W.T) * act'; the output layer and loss run on the whole batch in
-    between.  Weight gradients post.T @ g and g.sum(axis=0) are whole-batch
-    sums, dealt out by layer, positive branch first, so they are bitwise the
-    one-thread result.  The gradient vector is fresh, so nothing returned
+    One pass on the calling thread, in its `_workspace`: each branch runs its
+    hidden and output layers on the whole batch, positive branch first, and
+    stops at its first non-finite layer.  Then, branch by branch and from the
+    last layer down, each layer's weight gradients post.T @ g and g.sum(axis=0)
+    are added into a zeroed vector and g becomes its input gradient
+    (g @ W.T) * act'.  The gradient vector is fresh, so nothing returned
     aliases the workspace.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -430,26 +428,13 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
 
     ws = _workspace(config, n, 2 if config.antisymmetrize else 1)
     silu = config.activation == "silu"
-    rows = worker_rows(n)
-
-    def hidden_forward(bounds):  # (branch, layer) of the range's first failure, if any
-        cut = slice(*bounds)
-        for branch, h in enumerate(ws.inputs):
-            h = h[cut]
-            h[:, : config.input_dim] = -x[cut] if branch else x[cut]
-            h[:, config.input_dim :] = emb[cut]
-            views = ([a[cut] for a in arrays[branch]] for arrays in (ws.zs, ws.sgs, ws.acts))
-            failed = _hidden_layers(params, silu, h, *views)
-            if failed is not None:
-                return branch, failed
-
-    # the first branch that fails reports its lowest failing layer, as a
-    # full-batch pass would; the output layer runs on the whole batch
-    failed = min(filter(None, map_shards(hidden_forward, rows)), default=(len(ws.zs), 0))
-    for branch, zs in enumerate(ws.zs):
-        if branch == failed[0]:
-            raise _diverged(failed[1])
-        if not _output_layer(params, ws.acts[branch][-1], zs[-1]):
+    for branch, (h, zs, sgs, acts) in enumerate(zip(ws.inputs, ws.zs, ws.sgs, ws.acts)):
+        h[:, : config.input_dim] = -x if branch else x
+        h[:, config.input_dim :] = emb
+        failed = _hidden_layers(params, silu, h, zs, sgs, acts)
+        if failed is not None:
+            raise _diverged(failed)
+        if not _output_layer(params, acts[-1], zs[-1]):
             raise _diverged(len(params.weights) - 1)
     out = ws.zs[0][-1]
     if config.antisymmetrize:
@@ -460,35 +445,22 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
     d_out = 2.0 * sig * resid / n
     grads = NetworkGrads(np.zeros_like(params.flat), params.shapes)
-    parts = min(len(rows), len(params.shapes))
-    layers = [range(k, len(params.shapes), parts) for k in range(parts)]
     upstreams = (0.5 * d_out, -0.5 * d_out) if config.antisymmetrize else (d_out,)
-    for h, zs, sgs, acts, up in zip(ws.inputs, ws.zs, ws.sgs, ws.acts, upstreams):
-        g = ws.ups + [up]  # g[i]: this branch's loss gradient at layer i's matmul output
-
-        def input_gradients(bounds):
-            cut = slice(*bounds)
-            d = ws.deriv[cut]
-            for i in reversed(range(1, len(g))):
-                grad = np.matmul(g[i][cut], params.weights[i].T, out=g[i - 1][cut])
+    d = ws.deriv
+    for h, zs, sgs, acts, g in zip(ws.inputs, ws.zs, ws.sgs, ws.acts, upstreams):
+        for i in reversed(range(len(params.weights))):  # g: the loss gradient at layer i's matmul
+            grads.weights[i] += np.matmul((acts[i - 1] if i else h).T, g, out=ws.prods[i])
+            grads.biases[i] += g.sum(axis=0)
+            if i:
+                g = np.matmul(g, params.weights[i].T, out=ws.ups[i - 1])
                 if silu:  # silu'(z) = sg * (1 + z * (1 - sg))
-                    np.subtract(1.0, sgs[i - 1][cut], out=d)
-                    d *= zs[i - 1][cut]
+                    np.subtract(1.0, sgs[i - 1], out=d)
+                    d *= zs[i - 1]
                     d += 1.0
-                    d *= sgs[i - 1][cut]
+                    d *= sgs[i - 1]
                 else:  # relu's output is > 0 exactly where its input is
-                    np.greater(acts[i - 1][cut], 0.0, out=d)
-                grad *= d
-
-        def weight_gradients(part):  # whole-batch sums for the layers in part
-            for i in part:
-                grads.weights[i] += np.matmul((acts[i - 1] if i else h).T, g[i], out=ws.prods[i])
-                grads.biases[i] += g[i].sum(axis=0)
-
-        # both rounds end before the next branch reuses ws.ups (upstream arrays
-        # per branch, sharing rounds, measured ~3% slower at 128 rows)
-        map_shards(input_gradients, rows)
-        map_shards(weight_gradients, layers)
+                    np.greater(acts[i - 1], 0.0, out=d)
+                g *= d
     return loss, grads
 
 

@@ -1,32 +1,33 @@
-"""One contiguous row range, or run of row blocks, per CPU, run on a thread pool.
+"""The sampling forward's grid of row blocks, one run of blocks per CPU, and
+the thread pool that runs them.
 
-The sampler evaluates its score field on every sample at once (10k rows and
-more) and the trainer regresses on a batch of a few hundred rows.  The trainer
-splits its rows with `worker_rows`: one near-equal contiguous range per CPU
-the process may use, once a batch reaches BLOCK_ROWS rows.  The sampler's
-forward cuts its rows into a grid of near-equal blocks of at most BLOCK_ROWS
-rows that depends on the row count alone, and `worker_blocks` deals each CPU
-one contiguous run of whole blocks.  `split_rows` is the one near-equal cut
-behind the ranges, the grid and the runs, and `map_shards` runs one function
-per range or run.  The trainer splits only work whose result for a row does
-not depend on how many rows come with it, which the tests compare byte for
-byte with full-batch reference passes; the forward's blocks are compared with
-a reference pass per block of the same grid.
+The sampler evaluates its score field on every sample at once, 10k rows and
+more.  Its forward cuts the rows into a grid of near-equal blocks of at most
+BLOCK_ROWS rows that depends on the row count alone, and `worker_blocks` deals
+each CPU the process may use one contiguous run of whole blocks.
+`split_rows` is the one near-equal cut behind the grid and the runs, and
+`map_shards` runs one function per run.  The tests compare the forward's
+blocks byte for byte with a reference pass per block of the same grid.
 
-The calling thread runs the first range and a pool, created on first use,
-the others.  Pool threads run their range in a copy of the caller's
-`contextvars` context, so `np.errstate` set by the caller holds there too.
+The calling thread takes the first run and a pool, created on first use, the
+others.  Pool threads work in a copy of the caller's `contextvars` context,
+so `np.errstate` set by the caller holds there too.
 
-When the pool starts it sets numpy's bundled OpenBLAS to one thread, whose
-own threads would compete with the pool's for the same CPUs.  A thread count
-set in the environment wins, and a BLAS this does not recognise is left alone.
+Importing this module sets numpy's bundled OpenBLAS to one thread, so its own
+threads never compete with the pool's for the same CPUs, and the training
+step, which runs on the calling thread, runs every batch size on one thread.
+A thread count set in the environment wins, and a BLAS this does not
+recognise is left alone.
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import os
 import threading
+
+import numpy as np
 
 BLOCK_ROWS = 512
 
@@ -58,14 +59,13 @@ if hasattr(os, "register_at_fork"):
 
 def _one_blas_thread() -> None:
     if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
-        import ctypes
-
-        import numpy as np
-
         try:  # numpy's extension module resolves the symbols of the BLAS it links
             ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_(1)
         except (AttributeError, OSError):
             pass
+
+
+_one_blas_thread()
 
 
 def _executor():
@@ -74,7 +74,6 @@ def _executor():
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            _one_blas_thread()
             _pool = ThreadPoolExecutor(max_workers=max(_WORKERS - 1, 1),
                                        thread_name_prefix="rowblocks",
                                        initializer=setattr, initargs=(_on_pool, "thread", True))
@@ -86,13 +85,6 @@ def split_rows(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
     sizes differ by at most one row."""
     n = hi - lo
     return [(lo + n * k // parts, lo + n * (k + 1) // parts) for k in range(parts)]
-
-
-def worker_rows(n: int) -> list[tuple[int, int]]:
-    """One near-equal contiguous range per worker, of at least two rows each,
-    once n >= BLOCK_ROWS; else the one range (0, n), since a pool round trip
-    costs more than splitting a smaller batch saves."""
-    return split_rows(0, n, min(_WORKERS, n // 2) if n >= BLOCK_ROWS else 1)
 
 
 def worker_blocks(n: int) -> list[list[tuple[int, int]]]:

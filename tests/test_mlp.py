@@ -466,19 +466,6 @@ def test_train_matches_reference_loop_bitwise(run, loss_kind):
         assert_same_bits(a, b)
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("run", ["ring_relu128_batch512", "s3_silu64_antisym_batch128"])
-def test_train_matches_reference_loop_at_one_and_three_workers(monkeypatch, run, workers):
-    monkeypatch.setattr(rowblocks, "_WORKERS", workers)
-    config, data, manifold, schedule, batch = benchmark_shaped_run(run)
-    params, curve = train(config, "mad", data, manifold, schedule,
-                          steps=20, batch_size=batch, lr=2e-3, seed=2)
-    ref, ref_curve = ref_train(config, "mad", data, manifold, schedule, 20, batch, 2e-3, 2)
-    assert_same_bits(curve, ref_curve)
-    for a, b in zip(state_arrays(params), state_arrays(ref), strict=True):
-        assert_same_bits(a, b)
-
-
 def workspace_arrays_of(ws):
     """Every array in a workspace, through its lists and tuples."""
     def walk(value):
@@ -980,104 +967,87 @@ def test_forward_and_training_keep_at_most_one_workspace(monkeypatch):
     assert alive == [False] * 5
 
 
-# Row counts around the training split: below 512 rows a batch is one shard
-# on the calling thread, from 512 on one contiguous range per worker.
+# Row counts around 512, the sampling forward's block size; backward runs
+# every batch as one pass on the calling thread.
 SPLIT_EDGE_ROWS = [1, 2, 255, 511, 512, 513, 1024, 1025]
 
 
 @NET_VARIANTS
 @pytest.mark.parametrize("rows", SPLIT_EDGE_ROWS)
-def test_split_backward_matches_reference_bitwise(monkeypatch, activation, antisym,
-                                                  embedding, fdim, rows):
+def test_split_backward_matches_reference_bitwise(activation, antisym, embedding, fdim, rows):
     cfg = tiny_config(hidden_dim=16, num_hidden_layers=3, activation=activation,
                       antisymmetrize=antisym, sigma_embedding=embedding, fourier_dim=fdim)
     params, x, target, sig = backward_case(cfg, rows, 53)
-    want = ref_backward(params, cfg, x, target, sig)
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(rowblocks, "_WORKERS", workers)
-        assert_same_loss_and_grads(backward(params, cfg, x, target, sig), want)
+    assert_same_loss_and_grads(backward(params, cfg, x, target, sig),
+                               ref_backward(params, cfg, x, target, sig))
 
 
 @pytest.mark.parametrize("rows", [512, 1025])
 @pytest.mark.parametrize("config", [RING_RELU128, S3_SILU64_ANTISYM],
                          ids=["ring_relu128", "s3_silu64_antisym"])
-def test_split_backward_matches_reference_at_training_shapes(monkeypatch, config, rows):
+def test_split_backward_matches_reference_at_training_shapes(config, rows):
     params, x, target, sig = backward_case(config, rows, 54)
-    want = ref_backward(params, config, x, target, sig)
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(rowblocks, "_WORKERS", workers)
-        assert_same_loss_and_grads(backward(params, config, x, target, sig), want)
+    assert_same_loss_and_grads(backward(params, config, x, target, sig),
+                               ref_backward(params, config, x, target, sig))
 
 
 @pytest.mark.parametrize("workers", [2, 3])
 def test_split_backward_reports_the_lowest_failing_layer(monkeypatch, workers):
+    # backward runs on the calling thread, so the pool size must not change
+    # which layer it names
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
     cfg, params = diverging_params()
     x = np.zeros((1024, 2))
     target = np.zeros((1024, 2))
-    x[600, 0] = 1e200  # second shard only: -inf at layer 2
+    x[600, 0] = 1e200  # one row: -inf at layer 2
     with np.errstate(over="ignore", invalid="ignore"):
         for fn in (backward, ref_backward):
             with pytest.raises(TrainingDivergedError, match="layer 2"):
                 fn(params, cfg, x, target, 1.0)
-        x[0, 0] = 1e200  # first shard: layer 2; second shard: nan from layer 0 on
+        x[0, 0] = 1e200  # an earlier row fails at layer 2, a later one at layer 0
         x[600, 0] = np.nan
         for fn in (backward, ref_backward):
             with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 0"):
                 fn(params, cfg, x, target, 1.0)
 
 
-def test_caller_errstate_applies_in_pool_workers_during_backward(monkeypatch):
-    # only the last of three row ranges overflows in silu's exp, and with
-    # three workers that range runs on a pool thread
-    monkeypatch.setattr(rowblocks, "_WORKERS", 3)
-    cfg = tiny_config(activation="silu")
-    params = init_params(cfg, np.random.default_rng(13))
-    params.weights[0][:] = -1.0
-    params.biases[0][:] = 0.0
-    x = np.full((1536, 2), 0.1)
-    x[-300:] = 1000.0
-    with np.errstate(over="raise"):
+def test_backward_names_the_positive_output_before_a_negative_hidden_layer():
+    # layer 0 sends +x and -x to different relu units; +x then overflows only
+    # in the output layer (2), -x already in hidden layer 1
+    cfg = MlpConfig(input_dim=1, hidden_dim=2, num_hidden_layers=2, activation="relu",
+                    antisymmetrize=True)
+    params = init_params(cfg, np.random.default_rng(0))
+    params.flat[:] = 0.0
+    params.weights[0][0] = [1.0, -1.0]
+    params.weights[1][:] = [[1.0, 0.0], [0.0, 1e300]]
+    params.weights[2][0] = 1e300
+    x = np.full((4, 1), 1e10)
+    with np.errstate(over="ignore", invalid="ignore"):
         for fn in (backward, ref_backward):
-            with pytest.raises(FloatingPointError):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 2$"):
                 fn(params, cfg, x, np.zeros_like(x), 1.0)
 
 
-def test_split_backward_is_stable_under_thread_switching(monkeypatch):
-    # more workers than CPUs and a short switch interval: a row range written
-    # by the wrong worker, or a round started before the last one ended,
-    # would change the bytes
+def test_training_runs_on_the_calling_thread_at_any_worker_count(monkeypatch):
+    # eight workers, where the sampling forward would start the pool: backward
+    # and train still make no pool round and match the reference
+    def no_pool(*args):
+        raise AssertionError("training used the row-block pool")
+
     monkeypatch.setattr(rowblocks, "_WORKERS", 8)
-    monkeypatch.setattr(rowblocks, "_pool", None)
-    cfg = tiny_config(hidden_dim=16, activation="silu", antisymmetrize=True)
-    params, x, target, sig = backward_case(cfg, 1025, 55)
-    want = ref_backward(params, cfg, x, target, sig)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(10):
-            assert_same_loss_and_grads(backward(params, cfg, x, target, sig), want)
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_weight_gradient_round_sends_no_empty_items(monkeypatch):
-    # eight workers, four layers: the round deals one layer to each of four
-    # items rather than sending four empty ones through the pool
-    monkeypatch.setattr(rowblocks, "_WORKERS", 8)
-    monkeypatch.setattr(rowblocks, "_pool", None)
-    rounds = []
-
-    def recording(fn, items, _real=mlp.map_shards):
-        rounds.append((fn.__name__, items))
-        return _real(fn, items)
-
-    monkeypatch.setattr(mlp, "map_shards", recording)
-    params, x, target, sig = backward_case(RING_RELU128, 1024, 56)
-    assert_same_loss_and_grads(backward(params, RING_RELU128, x, target, sig),
-                               ref_backward(params, RING_RELU128, x, target, sig))
-    parts = [items for name, items in rounds if name == "weight_gradients"]
-    assert [[list(part) for part in items] for items in parts] == [[[0], [1], [2], [3]]]
+    monkeypatch.setattr(mlp, "map_shards", no_pool)
+    monkeypatch.setattr(rowblocks, "_executor", no_pool)
+    for config in (RING_RELU128, S3_SILU64_ANTISYM):
+        params, x, target, sig = backward_case(config, 1025, 56)
+        assert_same_loss_and_grads(backward(params, config, x, target, sig),
+                                   ref_backward(params, config, x, target, sig))
+    config, data, manifold, schedule, batch = benchmark_shaped_run("ring_relu128_batch512")
+    params, curve = train(config, "mad", data, manifold, schedule,
+                          steps=5, batch_size=batch, lr=2e-3, seed=2)
+    ref, ref_curve = ref_train(config, "mad", data, manifold, schedule, 5, batch, 2e-3, 2)
+    assert_same_bits(curve, ref_curve)
+    for a, b in zip(state_arrays(params), state_arrays(ref), strict=True):
+        assert_same_bits(a, b)
 
 
 def loss_of(params, cfg, x, target, sig):

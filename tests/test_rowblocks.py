@@ -1,4 +1,5 @@
-"""Row ranges and the thread pool behind the blocked forward and the split backward."""
+"""The row cut, the block grid and the thread pool behind the sampling forward,
+and the BLAS thread count set at import."""
 
 import os
 import subprocess
@@ -62,18 +63,6 @@ def test_map_shards_waits_for_every_shard_and_raises_the_first_failure(monkeypat
         rowblocks.map_shards(item, [0, 1, 2])
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 8])
-@pytest.mark.parametrize("n", [1, 2, 255, 511, 512, 513, 1024, 1025, 10001])
-def test_worker_rows_split_a_batch_of_a_block_or_more_once_per_worker(monkeypatch, workers, n):
-    monkeypatch.setattr(rowblocks, "_WORKERS", workers)
-    ranges = rowblocks.worker_rows(n)
-    assert ranges[0][0] == 0 and ranges[-1][1] == n
-    assert all(stop == start for (_, stop), (start, _) in zip(ranges, ranges[1:]))
-    assert len(ranges) == (workers if n >= rowblocks.BLOCK_ROWS else 1)
-    sizes = [stop - start for start, stop in ranges]
-    assert max(sizes) - min(sizes) <= 1 and min(sizes) >= min(n, 2)
-
-
 @pytest.mark.parametrize("lo,hi,parts", [(0, 0, 1), (0, 7, 7), (5, 1030, 2), (512, 10000, 19),
                                          (3, 4, 1), (100, 1637, 3)])
 def test_split_rows_cuts_near_equal_contiguous_pieces(lo, hi, parts):
@@ -110,8 +99,8 @@ def test_map_shards_called_on_a_pool_thread_runs_inline():
 
 
 def test_batches_under_a_block_never_start_the_pool():
-    # a training batch of 128 rows and a sampling batch of 511 are one range
-    # each, run on the calling thread
+    # a training batch runs on the calling thread, and a sampling batch of
+    # 511 rows is one block, run there too
     in_subprocess("""
         import numpy as np
         from manifold_dsm import rowblocks
@@ -157,6 +146,23 @@ def test_pool_start_sets_one_blas_thread_unless_the_environment_does(setting):
         rowblocks._WORKERS = 2
         assert rowblocks.map_shards(abs, [-1, -2]) == [1, 2] and rowblocks._pool is not None
         assert get() == (before if {bool(setting)} else 1), (before, get())
+        print("ok")
+    """, env)
+
+
+@pytest.mark.skipif(bundled_openblas() is None, reason="numpy without its bundled OpenBLAS")
+def test_import_sets_one_blas_thread():
+    # the training step runs on the calling thread and never starts the pool,
+    # so one BLAS thread must hold from import on, at every batch size
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    in_subprocess("""
+        import ctypes
+        import numpy as np
+        import manifold_dsm.mlp
+        from manifold_dsm import rowblocks
+
+        get = ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_get_num_threads64_
+        assert get() == 1 and rowblocks._pool is None, get()
         print("ok")
     """, env)
 

@@ -26,8 +26,12 @@ seed 502 on the ring and n = 4096 with seed 602 on S^3, and compares
 
 Prints every pair, then per tree the median and quartiles of the seconds,
 the number of pairs the change won, and the sha256 of each compared artifact
-(one line per distinct value seen).  Exits 1 unless every run wrote the same
-bytes.  Uses the standard library only.
+(one line per distinct value seen).  Then one verdict line per tree, on
+whether its runs wrote one hash per artifact, and one line comparing the
+trees.  Exits 1 if either tree's runs disagree, 2 if each tree is
+reproducible but the trees wrote different bytes (as a change that moves
+bytes on purpose does), and 0 if every run wrote the same bytes.  Uses the
+standard library only.
 """
 
 from __future__ import annotations
@@ -151,10 +155,26 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
         for name in artifacts:
             for digest in sorted(hashes[side][name]):
                 print(f"  {side:6s} sha256 {name:14s} {digest}")
-    same = hashes["base"] == hashes["change"] and all(
-        len(seen) == 1 for side in hashes.values() for seen in side.values())
-    print(f"  artifacts {'identical' if same else 'DIFFER'} across trees and runs")
-    return 0 if same else 1
+    lines, status = verdict(hashes)
+    for line in lines:
+        print(f"  {line}")
+    return status
+
+
+def verdict(hashes: dict[str, dict[str, set[str]]]) -> tuple[list[str], int]:
+    """Verdict lines and exit status from each tree's set of sha256 digests
+    per artifact: 1 if a tree wrote more than one digest for an artifact, 2 if
+    each tree wrote one but the trees differ, 0 if all are the same."""
+    lines, reproducible = [], True
+    for side, seen in hashes.items():
+        varied = [name for name, digests in seen.items() if len(digests) != 1]
+        reproducible &= not varied
+        lines.append(f"{side}: " + (f"NOT reproducible ({', '.join(varied)} varied across runs)"
+                                    if varied else "reproducible, one sha256 per artifact"))
+    first, *rest = hashes.values()
+    same = all(seen == first for seen in rest)
+    lines.append(f"trees {'identical' if same else 'DIFFER'}: {' vs '.join(hashes)}")
+    return lines, 1 if not reproducible else 0 if same else 2
 
 
 if __name__ == "__main__":
