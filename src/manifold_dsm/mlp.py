@@ -14,16 +14,8 @@ score.
 
 Parameters, gradients and both Adam moments are each one float64 vector laid
 out w0, b0, w1, b1, ...; the per-layer `weights` and `biases` are views into
-it.  `backward` is one full-batch pass on the calling thread and checks every
-layer for non-finite values.  `forward` runs every layer one block of at most
-512 rows at a time, on a grid of blocks that depends on the row count alone,
-and deals each CPU a run of whole blocks (`rowblocks.worker_blocks`); its
-bytes equal one pass per block of that grid, the same at any CPU count.  It
-first bounds every layer's magnitude from its input and the weights
-(`_bounded`) and checks layer by layer only when that bound cannot rule out
-nan or inf.  Each runs in the calling thread's one workspace slot, which holds
-the buffers of the last forward or training step shape and is released before
-a workspace of another shape is built, so at most one is alive.
+it.  Training (`backward`, `adam_step`) runs in float64 and the sampling
+`forward` in float32, each in the calling thread's one workspace (`_slot`).
 
 Checkpoints are a small versioned binary container: magic, version, a JSON
 header (config, layer shapes, caller extras), the parameter vector as raw
@@ -134,7 +126,7 @@ def _flat_size(shapes) -> int:
 
 @dataclass
 class _FlatLayers:
-    """Per-layer arrays in one float64 vector `flat`, laid out w0, b0, w1, b1, ...
+    """Per-layer arrays in one vector `flat`, laid out w0, b0, w1, b1, ...
     for layers of (fan_in, fan_out) `shapes`; `weights` and `biases` are views
     into it."""
 
@@ -215,31 +207,34 @@ def _diverged(layer: int) -> TrainingDivergedError:
     return TrainingDivergedError(f"non-finite activations at layer {layer}")
 
 
-_BOUND = 1e300  # a layer bound below this proves the layer finite
+_BOUND = 1e37  # a layer bound below this proves the layer finite in float32
 
 
-def _bounded(params: NetworkParams, h: np.ndarray) -> bool:
-    """Whether no layer of the net can hold nan or inf on input h.
+def _bounded(params: NetworkParams, *inputs: np.ndarray) -> bool:
+    """Whether no layer of the float32 net can hold nan or inf on the float64
+    input columns `inputs`, with the float64 `params`.
 
-    With a_0 = max |h| and a_{i+1} = 2 (a_i max_j sum_k |W_kj| + max_j |b_j|),
+    With a_0 = max |input| and a_{i+1} = 2 (a_i max_j sum_k |W_kj| + max_j |b_j|),
     a_{i+1} bounds layer i's matmul output, since |relu(z)| <= |z| and
-    |silu(z)| <= |z|; the factor 2 covers the rounding of the matmul and of
-    the bound itself.  Every a_i below _BOUND, the output layer's included,
-    proves every layer finite.  nan or inf in h, weights that break the bound
-    and the empty batch give False.
+    |silu(z)| <= |z|; the factor 2 covers the rounding of the float32 cast,
+    the matmul and the bound itself.  Every a_i and every column sum below
+    _BOUND, which float32 holds with room to spare, proves every weight and
+    every layer finite, the output layer's included.  nan or inf in the input,
+    weights that break the bound and the empty batch give False.
     """
-    if h.size == 0:
+    if any(h.size == 0 for h in inputs):
         return False
     with np.errstate(all="ignore"):
-        a = np.abs(h).max()
+        a = max(np.abs(h).max() for h in inputs)
         for w, b in zip(params.weights, params.biases):
-            if not a < _BOUND:
+            col = np.abs(w).sum(axis=0).max()
+            if not (a < _BOUND and col < _BOUND):
                 return False
-            a = 2.0 * (a * np.abs(w).sum(axis=0).max() + np.abs(b).max())
+            a = 2.0 * (a * col + np.abs(b).max())
     return bool(a < _BOUND)
 
 
-def _hidden_layers(params: NetworkParams, silu: bool, h, zs, sgs, acts, check=True):
+def _hidden_layers(params: _FlatLayers, silu: bool, h, zs, sgs, acts, check=True):
     """Run the hidden layers from input h: layer i's matmul into zs[i], its
     silu sigmoid into sgs[i] and its activation into acts[i], which may be
     zs[i].  Returns the first layer with a non-finite entry, or None; with
@@ -251,7 +246,8 @@ def _hidden_layers(params: NetworkParams, silu: bool, h, zs, sgs, acts, check=Tr
             return i
         if silu:  # z * sg with sg = 1/(1 + exp(-z))
             sg = np.negative(z, out=sgs[i])
-            np.exp(sg, out=sg)
+            with np.errstate(over="ignore"):  # exp(-z) = inf gives silu's exact limit -0.0
+                np.exp(sg, out=sg)
             sg += 1.0
             np.divide(1.0, sg, out=sg)
             h = np.multiply(z, sg, out=acts[i])
@@ -260,7 +256,7 @@ def _hidden_layers(params: NetworkParams, silu: bool, h, zs, sgs, acts, check=Tr
     return None
 
 
-def _output_layer(params: NetworkParams, h: np.ndarray, out: np.ndarray, check=True) -> bool:
+def _output_layer(params: _FlatLayers, h: np.ndarray, out: np.ndarray, check=True) -> bool:
     """Run the output layer from h into out; False if `check` finds a
     non-finite entry there."""
     np.matmul(h, params.weights[-1], out=out)
@@ -268,7 +264,7 @@ def _output_layer(params: NetworkParams, h: np.ndarray, out: np.ndarray, check=T
     return not check or _finite(out)
 
 
-def _blocked_forward(params: NetworkParams, config: MlpConfig, ws: SimpleNamespace,
+def _blocked_forward(params: _FlatLayers, config: MlpConfig, ws: SimpleNamespace,
                      check: bool, out: np.ndarray) -> None:
     """Run the net on the input rows in ws.inputs into `out`, block by block.
 
@@ -323,25 +319,31 @@ def _blocked_forward(params: NetworkParams, config: MlpConfig, ws: SimpleNamespa
 
 
 def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
-    """Network output for a batch; odd in x when antisymmetrize is set.
+    """Network output for a batch, as a fresh float64 array; odd in x when
+    antisymmetrize is set.
 
-    Runs in the calling thread's `_forward_workspace`, one block of at most
-    512 rows at a time as `_blocked_forward` describes, so the bytes of a row
-    depend on the row count but not on the CPU count; the returned array is
-    fresh.  Layers are checked for non-finite values only when `_bounded`
-    cannot rule them out.
+    The net runs in float32 in the calling thread's `_forward_workspace`: each
+    call copies the parameter vector into the workspace's float32 copy, so
+    weights edited in place are seen, assembles [x || embed(sigma)] in its
+    float32 input buffer, and runs one block of at most 512 rows at a time as
+    `_blocked_forward` describes, so the bytes of a row depend on the row count
+    but not on the CPU count.  Layers are checked for non-finite values only
+    when `_bounded` cannot rule them out; an input or weight past float32's
+    range becomes inf, and its layer is named.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != config.input_dim:
         raise ValueError(f"expected input dim {config.input_dim}, got {x.shape[1]}")
     emb = _embed_sigma(config, sigma, x.shape[0])
     ws = _forward_workspace(config, x.shape[0])
-    ws.inputs[:, : config.input_dim] = x
-    ws.inputs[:, config.input_dim :] = emb
-    check = not _bounded(params, ws.inputs)  # -x has the same bound
-    out = np.empty((x.shape[0], config.input_dim))
-    _blocked_forward(params, config, ws, check, out)
-    return out
+    check = not _bounded(params, x, emb)  # -x has the same bound
+    with np.errstate(over="ignore"):  # past float32's range: inf, which a layer check names
+        ws.params.flat[:] = params.flat
+        ws.inputs[:, : config.input_dim] = x
+        ws.inputs[:, config.input_dim :] = emb
+    out = np.empty((x.shape[0], config.input_dim), dtype=np.float32)
+    _blocked_forward(ws.params, config, ws, check, out)
+    return out.astype(np.float64)
 
 
 # the calling thread's one workspace (forward or training) and Adam temporaries, if any
@@ -364,25 +366,28 @@ def drop_workspace() -> None:
 
 
 def _forward_workspace(config: MlpConfig, n: int) -> SimpleNamespace:
-    """Buffers for a forward pass on n rows: the assembled input, and per
-    worker run of blocks (`worker_blocks`) the run's blocks, its two hidden
-    block buffers and, with antisymmetrize, its negative branch's block input
-    and output (else None).  No buffer of hidden width holds more than a
-    block.  The caller owns every run's buffers, so pool threads keep none."""
+    """float32 buffers for a forward pass on n rows: the parameter copy, the
+    assembled input, and per worker run of blocks (`worker_blocks`) the run's
+    blocks, its two hidden block buffers and, with antisymmetrize, its negative
+    branch's block input and output (else None).  No buffer of hidden width
+    holds more than a block.  The caller owns every run's buffers, so pool
+    threads keep none."""
     runs = worker_blocks(n)
+    shapes = config.layer_shapes()
     width = config.input_dim + config.embed_dim
 
     def build():
-        block = lambda cols: np.empty((min(n, BLOCK_ROWS), cols))
+        block = lambda cols: np.empty((min(n, BLOCK_ROWS), cols), dtype=np.float32)
         neg = config.antisymmetrize
         return SimpleNamespace(
-            inputs=np.empty((n, width)),
+            params=_FlatLayers(np.empty(_flat_size(shapes), dtype=np.float32), shapes),
+            inputs=np.empty((n, width), dtype=np.float32),
             shards=[(blocks, (block(config.hidden_dim), block(config.hidden_dim)),
                      block(width) if neg else None, block(config.input_dim) if neg else None)
                     for blocks in runs],
         )
 
-    return _slot(("forward", tuple(config.layer_shapes()), n, config.antisymmetrize,
+    return _slot(("forward", tuple(shapes), n, config.antisymmetrize,
                   tuple(map(tuple, runs))), build)
 
 

@@ -8,6 +8,7 @@ file formats, exit codes, and byte-level reproducibility.
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,24 @@ def test_sample_releases_the_forward_workspace(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "s")]) == 0
     assert len(held) == 4 and held[0] is not None and all(ws is held[0] for ws in held)
     assert getattr(mlp._workspaces, "ws", None) is None
+
+
+def test_sample_past_float32_range_exits_two(tmp_path, capsys):
+    # a weight finite in float64 but past float32's range: the float32
+    # forward names its layer, and no cast overflow warns
+    ckpt = trained_run(tmp_path)
+    params, config, extras = load_checkpoint(ckpt)
+    params.weights[1][:] = 1e39
+    save_checkpoint(ckpt, params, config, extras)
+    out = tmp_path / "s"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["sample", "--checkpoint", str(ckpt), "--n", "64", "--num-scales", "5",
+                   "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "runtime abort: non-finite activations at layer 1\n"
+    assert not (out / "samples.csv").exists()
+    assert not [w for w in caught if "cast" in str(w.message)]
 
 
 # At 2049 rows, blocks cut from each worker's range would hold 341-342 rows

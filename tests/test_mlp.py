@@ -111,22 +111,25 @@ def test_hand_computed_forward():
     params.weights[1][:] = np.array([[1.5]])
     params.biases[1][:] = np.array([-0.25])
 
+    # the forward runs in float32: every operand is cast, every step rounds there
+    f = np.float32
+
     # sigma = 1 gives embedding log(1) = 0
-    z0 = 0.8 * 2.0 + 0.0 * (-1.0) + 0.5
-    expected = max(z0, 0.0) * 1.5 - 0.25
+    z0 = f(0.8) * f(2.0) + f(0.0) * f(-1.0) + f(0.5)
+    expected = max(z0, f(0.0)) * f(1.5) + f(-0.25)
     out = forward(params, cfg, np.array([[0.8]]), 1.0)
-    assert abs(out[0, 0] - expected) < 1e-15
+    assert out.dtype == np.float64 and out[0, 0] == expected
 
     # negative pre-activation exercises the relu kink
     out = forward(params, cfg, np.array([[-0.8]]), 1.0)
-    assert abs(out[0, 0] - (-0.25)) < 1e-15
+    assert out[0, 0] == f(0.0) * f(1.5) + f(-0.25)
 
     # sigma enters through the embedding row of the first weight matrix
     sig = 2.0
-    z0 = 0.8 * 2.0 + np.log(sig) * (-1.0) + 0.5
-    expected = max(z0, 0.0) * 1.5 - 0.25
+    z0 = f(0.8) * f(2.0) + f(np.log(sig)) * f(-1.0) + f(0.5)
+    expected = max(z0, f(0.0)) * f(1.5) + f(-0.25)
     out = forward(params, cfg, np.array([[0.8]]), sig)
-    assert abs(out[0, 0] - expected) < 1e-14
+    assert out[0, 0] == expected
 
 
 def randomized_params(cfg, seed):
@@ -164,8 +167,10 @@ def test_forward_batch_matches_single_rows():
     batch = forward(params, cfg, x, sig)
     for i in range(20):
         row = forward(params, cfg, x[i], sig[i])
-        # batch and single-row paths hit different BLAS kernels
-        assert np.allclose(batch[i], row[0], rtol=0.0, atol=1e-14)
+        # batch and single-row paths hit different BLAS kernels: within four
+        # float32 ulps of the batch value
+        ulp = np.spacing(np.abs(batch[i]).astype(np.float32))
+        assert np.all(np.abs(batch[i] - row[0]) <= 4 * ulp)
 
 
 def test_forward_validation():
@@ -194,8 +199,8 @@ def test_forward_and_backward_reject_bad_sigma(sigma):
 def test_forward_nonfinite_aborts_with_layer_index():
     cfg = tiny_config(activation="relu")
     params = init_params(cfg, np.random.default_rng(9))
-    params.weights[0][:] = 1e200
-    params.weights[1][:] = 1e200
+    params.weights[0][:] = 1e20  # layer 0 stays within float32's range, layer 1 leaves it
+    params.weights[1][:] = 1e20
     with pytest.raises(TrainingDivergedError, match="layer 1"):
         with np.errstate(over="ignore"):
             forward(params, cfg, np.full((1, 2), 10.0), 1.0)
@@ -223,15 +228,18 @@ def test_forward_nonfinite_hidden_layer_aborts_with_finite_output():
 
 
 def test_finite_layer_with_overflowing_sum_passes_silently():
+    # each entry finite, their sum is not: in float32 for the forward, in
+    # float64 for backward
     cfg = tiny_config(activation="relu")
     params = init_params(cfg, np.random.default_rng(9))
     params.weights[0][:] = 0.0
-    params.biases[0][:] = 1e308  # each entry finite, their sum is not
     params.weights[1][:] = 0.0
     x = np.ones((4, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        params.biases[0][:] = 3e38
         out = forward(params, cfg, x, 1.0)
+        params.biases[0][:] = 1e308
         loss, _ = backward(params, cfg, x, np.zeros((4, 2)), 1.0)
     assert np.all(out == 0.0)
     assert loss == 0.0
@@ -292,19 +300,23 @@ def ref_blocks(params, config, h):
             failed.append(int(str(exc).rsplit(" ", 1)[1]))
     if failed:
         raise TrainingDivergedError(f"non-finite activations at layer {min(failed)}")
-    return np.concatenate(outs) if outs else np.empty((0, config.input_dim))
+    return np.concatenate(outs) if outs else np.empty((0, config.input_dim), dtype=h.dtype)
 
 
 def ref_forward(params, config, x, sigma):
-    """The forward's reference: `ref_blocks` on [x || embed], then, with
-    antisymmetrize, on [-x || embed]; the positive branch fails first."""
+    """The forward's reference: `ref_blocks` in float32, from the float32-cast
+    parameters and [x || embed], then, with antisymmetrize, on [-x || embed];
+    the positive branch fails first.  Returns float64."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     emb = _embed_sigma(config, sigma, x.shape[0])
-    out = ref_blocks(params, config, np.concatenate([x, emb], axis=1))
+    with np.errstate(over="ignore"):  # past float32's range: inf
+        p32 = NetworkParams(params.flat.astype(np.float32), params.shapes)
+        pos = np.concatenate([x, emb], axis=1).astype(np.float32)
+        neg = np.concatenate([-x, emb], axis=1).astype(np.float32)
+    out = ref_blocks(p32, config, pos)
     if config.antisymmetrize:
-        out_neg = ref_blocks(params, config, np.concatenate([-x, emb], axis=1))
-        out = 0.5 * (out - out_neg)
-    return out
+        out = 0.5 * (out - ref_blocks(p32, config, neg))
+    return out.astype(np.float64)
 
 
 def ref_backprop_branch(params, config, pre, post, upstream, grads):
@@ -702,15 +714,16 @@ def test_blocked_forward_matches_reference_at_sampling_size(monkeypatch, model, 
     assert forward_bytes_by_workers(monkeypatch, params, cfg, x, 0.3) == [want] * 4
 
 
-def diverging_params():
-    """relu 2 -> 4 x 3 -> 2 net: x = (1e200, 0) stays finite through layers 0
-    and 1 and reaches -inf at layer 2; a nan input fails at layer 0."""
+def diverging_params(w2=-1e18):
+    """relu 2 -> 4 x 3 -> 2 net: x = (1e20, 0) stays finite in float32 through
+    layers 0 and 1 and reaches -inf at layer 2; with w2 = -1e108, x = (1e200, 0)
+    does the same in float64.  A nan input fails at layer 0."""
     cfg = tiny_config(hidden_dim=4, num_hidden_layers=3, activation="relu")
     params = init_params(cfg, np.random.default_rng(12))
     for w, b in zip(params.weights, params.biases):
         w[:] = 1.0
         b[:] = 0.0
-    params.weights[2][:] = -1e108
+    params.weights[2][:] = w2
     return cfg, params
 
 
@@ -719,7 +732,7 @@ def test_blocked_forward_reports_the_lowest_failing_layer(monkeypatch, workers):
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
     cfg, params = diverging_params()
     x = np.zeros((1025, 2))
-    x[0, 0] = 1e200  # first block: -inf at layer 2
+    x[0, 0] = 1e20  # first block: -inf at layer 2
     with np.errstate(over="ignore", invalid="ignore"):
         for fn in (forward, ref_forward):
             with pytest.raises(TrainingDivergedError, match="layer 2"):
@@ -737,10 +750,10 @@ def test_forward_names_the_positive_branch_before_the_negative(monkeypatch, work
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
     cfg, params = diverging_params()
     cfg = dataclasses.replace(cfg, antisymmetrize=True)
-    params.weights[0][2] = 1e308
+    params.weights[0][2] = 3e38
     x = np.zeros((1537, 2))
-    x[0, 0] = -1e308
-    x[-1, 0] = 1e200
+    x[0, 0] = -3e38
+    x[-1, 0] = 1e20
     sig = np.ones(1537)
     sig[0] = np.e
     with np.errstate(over="ignore", invalid="ignore"):
@@ -760,10 +773,10 @@ def test_forward_names_a_hidden_layer_before_the_output_layer(monkeypatch, worke
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
     cfg, params = diverging_params()
     params.weights[2][:] = 1.0
-    params.weights[3][:] = 1e300
+    params.weights[3][:] = 1e30
     x = np.zeros((1537, 2))
     x[0, 0] = 1e10
-    x[-1, 0] = 1e308
+    x[-1, 0] = 3e38
     with np.errstate(over="ignore", invalid="ignore"):
         for fn in (forward, ref_forward):
             with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 1$"):
@@ -775,15 +788,16 @@ def test_forward_names_a_hidden_layer_before_the_output_layer(monkeypatch, worke
 
 
 def test_caller_errstate_applies_in_pool_workers(monkeypatch):
-    # only the last of three blocks overflows in silu's exp, and with three
-    # workers that block runs on a pool thread
+    # only the last of three blocks overflows, in layer 0's float32 bias add
+    # (2e38 + 2e38), and with three workers that block runs on a pool thread
     monkeypatch.setattr(rowblocks, "_WORKERS", 3)
     cfg = tiny_config(activation="silu")
     params = init_params(cfg, np.random.default_rng(13))
-    params.weights[0][:] = -1.0
-    params.biases[0][:] = 0.0
+    params.weights[0][:] = 1.0
+    params.biases[0][:] = 2e38
+    params.weights[1][:] = 0.0
     x = np.full((1536, 2), 0.1)
-    x[-300:] = 1000.0
+    x[-300:] = 1e38
     with np.errstate(over="raise"):
         for fn in (forward, ref_forward):
             with pytest.raises(FloatingPointError):
@@ -835,13 +849,13 @@ def test_bounded_forward_checks_no_layer(monkeypatch, config):
 
 @pytest.mark.parametrize("activation", ["relu", "silu"])
 def test_forward_past_the_bound_checks_every_layer(monkeypatch, activation):
-    # layer 0 reaches ~1e300 and layer 1 scales it back: every activation is
-    # finite, but the bound passes 1e300, so each layer is checked
+    # layer 0 reaches ~1e37 and layer 1 scales it back: every float32
+    # activation is finite, but the bound passes 1e37, so each layer is checked
     cfg = tiny_config(hidden_dim=16, num_hidden_layers=3, activation=activation,
                       antisymmetrize=activation == "silu")
     params = randomized_params(cfg, 50)
-    params.weights[0][:] *= 1e300
-    params.weights[1][:] *= 1e-300
+    params.weights[0][:] *= 1e37
+    params.weights[1][:] *= 1e-37
     x = np.random.default_rng(51).standard_normal((1025, 2))
     with np.errstate(over="ignore"):
         want = ref_forward(params, cfg, x, 0.3)
@@ -858,12 +872,77 @@ def test_forward_overflow_in_the_output_layer_alone_names_it():
     # output overflows to inf, and only the output layer may be named
     cfg = tiny_config(activation="relu")
     params = randomized_params(cfg, 59)
-    params.weights[-1][:] = 1e308
+    params.weights[-1][:] = 3e38
     x = np.full((600, 2), 10.0)
     with np.errstate(over="ignore"):
         for fn in (forward, ref_forward):
             with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 2"):
                 fn(params, cfg, x, 1.0)
+
+
+def past_float32_case(case, antisym):
+    """A relu net and input on which every float64 value is finite, but an
+    input, a weight or a bias lies past float32's range (3.4e38), and the
+    float32 layer that first holds inf or nan."""
+    cfg = tiny_config(activation="relu", antisymmetrize=antisym)
+    params = randomized_params(cfg, 61)
+    x = np.random.default_rng(62).standard_normal((600, 2))
+    sigma = 0.5
+    if case == "input":
+        x[300, 0] = 1e39
+        return cfg, params, x, sigma, 0
+    if case == "weight_on_zero_input":  # 0 * inf = nan, though the float64 bound is 0
+        x[:] = 0.0
+        sigma = 1.0
+        params.weights[0][:] = 1e39
+        params.biases[0][:] = 0.0
+        return cfg, params, x, sigma, 0
+    if case == "hidden_weight":
+        params.weights[1][:, 5] = 1e300
+        return cfg, params, x, sigma, 1
+    params.biases[-1][1] = -1e39  # case "output_bias"
+    return cfg, params, x, sigma, 2
+
+
+@pytest.mark.parametrize("case", ["input", "weight_on_zero_input", "hidden_weight", "output_bias"])
+@pytest.mark.parametrize("antisym", [False, True])
+def test_forward_past_float32_range_names_the_first_nonfinite_layer(case, antisym):
+    cfg, params, x, sigma, layer = past_float32_case(case, antisym)
+    emb = _embed_sigma(cfg, sigma, x.shape[0])
+    assert np.all(np.isfinite(ref_plain_forward(params, cfg, np.concatenate([x, emb], axis=1),
+                                                keep=False)))
+    assert not mlp._bounded(params, x, emb)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for fn in (forward, ref_forward):
+            with pytest.raises(TrainingDivergedError, match=f"activations at layer {layer}$"):
+                fn(params, cfg, x, sigma)
+    # the float32 casts overflow quietly; what overflowed is named by its layer
+    assert not [w for w in caught if "cast" in str(w.message)]
+
+
+def test_silu_exp_overflow_is_silent():
+    # silu's exp(-z) overflows below z = -88.7 in float32 (the forward) and
+    # below -709.8 in float64 (backward); the limit there, -0.0, is exact
+    cfg = tiny_config(activation="silu")
+    params = randomized_params(cfg, 63)
+    rng = np.random.default_rng(64)
+    x = rng.standard_normal((16, 2))
+    target = rng.standard_normal((16, 2))
+    params.biases[0][:] = -100.0
+    with np.errstate(over="ignore"):
+        want = ref_forward(params, cfg, x, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = forward(params, cfg, x, 0.5)
+    assert_same_bits(got, want)
+    params.biases[0][:] = -800.0
+    with np.errstate(over="ignore"):
+        want = ref_backward(params, cfg, x, target, 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = backward(params, cfg, x, target, 0.5)
+    assert_same_loss_and_grads(got, want)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -897,10 +976,20 @@ def test_forward_workspace_is_reused_and_never_returned():
     want = ref_forward(params, cfg, x, 0.3).tobytes()
     first = forward(params, cfg, x, 0.3)
     arrays = workspace_arrays()
-    assert arrays and not any(np.shares_memory(first, a) for a in arrays)
+    copy = mlp._workspaces.ws.params.flat  # the float32 parameter copy
+    assert copy.dtype == np.float32 and copy.shape == params.flat.shape
+    assert first.dtype == np.float64 and first.flags.owndata
+    assert arrays and not any(np.shares_memory(first, a) for a in arrays + [copy])
     again = forward(params, cfg, x, 0.3)
+    assert not np.shares_memory(again, first)
     assert all(a is b for a, b in zip(workspace_arrays(), arrays, strict=True))
+    assert mlp._workspaces.ws.params.flat is copy
     assert first.tobytes() == again.tobytes() == want
+    # a weight edited in place between two calls is seen by the second
+    params.weights[-1][0, 0] += 1.0
+    edited = forward(params, cfg, x, 0.3)
+    assert mlp._workspaces.ws.params.flat is copy
+    assert edited.tobytes() == ref_forward(params, cfg, x, 0.3).tobytes() != want
 
 
 def test_forward_in_concurrent_threads_matches_reference(monkeypatch):
@@ -996,7 +1085,7 @@ def test_split_backward_reports_the_lowest_failing_layer(monkeypatch, workers):
     # backward runs on the calling thread, so the pool size must not change
     # which layer it names
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
-    cfg, params = diverging_params()
+    cfg, params = diverging_params(w2=-1e108)
     x = np.zeros((1024, 2))
     target = np.zeros((1024, 2))
     x[600, 0] = 1e200  # one row: -inf at layer 2

@@ -1,4 +1,5 @@
-"""The verdict of tools/train_pairs.py on the artifact hashes its runs wrote."""
+"""The verdict of tools/train_pairs.py on the artifact hashes its runs wrote,
+and its report of how far two trees' samples are apart."""
 
 import importlib.util
 from pathlib import Path
@@ -45,3 +46,34 @@ def test_verdict_separates_each_tree_from_the_comparison(train_pairs, base, chan
     assert len(lines) == len(says)
     for line, start in zip(lines, says, strict=True):
         assert line.startswith(start), (line, start)
+
+
+DRIFT_LINE = ("name=manifold_drift value={} std_error=1e-06 measure=nearest_support "
+              "projected=False seed=502 stage=pre_projection\n")
+
+
+def test_sample_gap_reports_logged_drift_and_largest_coordinate_gap(train_pairs):
+    outputs = {
+        "base": {"samples.csv": "x0,x1\n0.5,1.0\n-0.25,2.0\n",
+                 "metrics.log": DRIFT_LINE.format("0.0012")},
+        "change": {"samples.csv": "x0,x1\n0.5,1.0000001\n-0.5,2.0\n",
+                   "metrics.log": DRIFT_LINE.format("0.0013")},
+    }
+    assert train_pairs.sample_gap(outputs) == [
+        "base: logged drift 0.0012",
+        "change: logged drift 0.0013",
+        "largest |base - change| sample coordinate: 0.25",
+    ]
+
+
+def test_sample_gap_on_tables_of_different_shape_and_no_drift(train_pairs):
+    outputs = {
+        "base": {"samples.csv": "x0,x1\n0.5,1.0\n", "metrics.log": ""},
+        "change": {"samples.csv": "x0,x1\n0.5,1.0\n0.0,0.0\n",
+                   "metrics.log": DRIFT_LINE.format("0.5")},
+    }
+    assert train_pairs.sample_gap(outputs) == [
+        "base: logged drift none",
+        "change: logged drift 0.5",
+        "samples differ in shape: no coordinate gap",
+    ]

@@ -28,10 +28,12 @@ Prints every pair, then per tree the median and quartiles of the seconds,
 the number of pairs the change won, and the sha256 of each compared artifact
 (one line per distinct value seen).  Then one verdict line per tree, on
 whether its runs wrote one hash per artifact, and one line comparing the
-trees.  Exits 1 if either tree's runs disagree, 2 if each tree is
-reproducible but the trees wrote different bytes (as a change that moves
-bytes on purpose does), and 0 if every run wrote the same bytes.  Uses the
-standard library only.
+trees.  When the trees' `samples.csv` differ, it also prints each tree's
+logged drift and the largest absolute coordinate difference between the two
+trees' samples (`sample_gap`, from each tree's first run).  Exits 1 if either
+tree's runs disagree, 2 if each tree is reproducible but the trees wrote
+different bytes (as a change that moves bytes on purpose does), and 0 if
+every run wrote the same bytes.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -131,6 +133,7 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
     print(" ".join(f"{var}={value}" for var, value in threads.items()), flush=True)
     seconds = {side: [] for side in trees}
     hashes = {side: {name: set() for name in artifacts} for side in trees}
+    first = {}  # per tree, the text of its first sample run's artifacts
     wins = 0
     for k in range(args.pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
@@ -139,6 +142,8 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
             seconds[side].append(run_once(trees[side], command, out, args.taskset))
             for name in artifacts:
                 hashes[side][name].add(hashlib.sha256((out / name).read_bytes()).hexdigest())
+            if args.phase == "sample" and side not in first:
+                first[side] = {name: (out / name).read_text() for name in artifacts}
             shutil.rmtree(out)
         wins += seconds["change"][-1] < seconds["base"][-1]
         print(f"pair {k + 1:2d} ({order[0]} first): base {seconds['base'][-1]:.3f} s, "
@@ -156,9 +161,32 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
             for digest in sorted(hashes[side][name]):
                 print(f"  {side:6s} sha256 {name:14s} {digest}")
     lines, status = verdict(hashes)
+    if args.phase == "sample" and hashes["base"]["samples.csv"] != hashes["change"]["samples.csv"]:
+        lines += sample_gap(first)
     for line in lines:
         print(f"  {line}")
     return status
+
+
+def sample_gap(outputs: dict[str, dict[str, str]]) -> list[str]:
+    """How far two trees' `mdsm sample` runs are apart, from the text of each
+    tree's `samples.csv` and `metrics.log`: one line per tree with the drift
+    values its log holds, then one with the largest absolute difference
+    between the trees' sample coordinates, or a note that the sample tables
+    differ in shape."""
+    lines, tables = [], []
+    for side, files in outputs.items():
+        drift = [field.removeprefix("value=") for line in files["metrics.log"].splitlines()
+                 if line.startswith("name=manifold_drift ")
+                 for field in line.split() if field.startswith("value=")]
+        lines.append(f"{side}: logged drift {', '.join(drift) or 'none'}")
+        tables.append([[float(v) for v in row.split(",")]
+                       for row in files["samples.csv"].splitlines()[1:]])
+    base, change = tables
+    if [len(row) for row in base] != [len(row) for row in change]:
+        return lines + ["samples differ in shape: no coordinate gap"]
+    gap = max((abs(a - b) for ra, rb in zip(base, change) for a, b in zip(ra, rb)), default=0.0)
+    return lines + [f"largest |base - change| sample coordinate: {gap!r}"]
 
 
 def verdict(hashes: dict[str, dict[str, set[str]]]) -> tuple[list[str], int]:
