@@ -11,17 +11,6 @@ loss = mean over rows of ||sigma f - target||^2, so at the optimum f is the
 score itself (dsm) or the correction to the base score (mad).  The final
 layer initializes to zero so a fresh mad model starts exactly at the base
 score.
-
-Parameters, gradients and both Adam moments are each one float64 vector laid
-out w0, b0, w1, b1, ...; the per-layer `weights` and `biases` are views into
-it.  Training (`backward`, `adam_step`) runs in float64 and the sampling
-`forward` in float32, each in the calling thread's one workspace (`_slot`).
-
-Checkpoints are a small versioned binary container: magic, version, a JSON
-header (config, layer shapes, caller extras), the parameter vector as raw
-little-endian float64, and a SHA-256 trailer over everything before it.  The
-header's config obeys the same JSON type rules (`json_fields`) as a run
-config's `model` section.
 """
 
 from __future__ import annotations
@@ -192,12 +181,9 @@ def _embed_sigma(config: MlpConfig, sigma: np.ndarray, n: int) -> np.ndarray:
 
 
 def _finite(z: np.ndarray) -> bool:
-    """Whether every entry of z is finite.
-
-    Any nan or inf makes the sum non-finite, so a finite sum clears the layer
-    in one pass without a boolean temporary; a sum that overflows on finite
-    entries falls through to the exact elementwise test.
-    """
+    """Whether every entry of z is finite: a finite sum clears z in one pass
+    without a boolean temporary, and a sum that overflows on finite entries
+    falls through to the exact elementwise test."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = z.sum()
     return bool(np.isfinite(total) or np.all(np.isfinite(z)))
@@ -323,13 +309,11 @@ def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     antisymmetrize is set.
 
     The net runs in float32 in the calling thread's `_forward_workspace`: each
-    call copies the parameter vector into the workspace's float32 copy, so
-    weights edited in place are seen, assembles [x || embed(sigma)] in its
-    float32 input buffer, and runs one block of at most 512 rows at a time as
-    `_blocked_forward` describes, so the bytes of a row depend on the row count
-    but not on the CPU count.  Layers are checked for non-finite values only
-    when `_bounded` cannot rule them out; an input or weight past float32's
-    range becomes inf, and its layer is named.
+    call copies the parameters into its float32 copy, so weights edited in
+    place are seen, and runs `_blocked_forward` on [x || embed(sigma)].
+    Layers are checked for non-finite values only when `_bounded` cannot
+    rule them out; an input or weight past float32's range becomes inf, and
+    its layer is named.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != config.input_dim:
@@ -398,15 +382,17 @@ def _workspace(config: MlpConfig, n: int, branches: int) -> SimpleNamespace:
     silu = config.activation == "silu"
 
     def build():
-        new = lambda dims: [np.empty(d) for d in dims]
+        new = lambda dims, dtype=np.float64: [np.empty(d, dtype=dtype) for d in dims]
         hidden = [(n, fan_out) for _, fan_out in shapes[:-1]]
         zs = [new(hidden + [(n, config.input_dim)]) for _ in range(branches)]
         return SimpleNamespace(
             inputs=new([(n, shapes[0][0])] * branches), zs=zs,
             sgs=[new(hidden) if silu else [] for _ in zs],
             acts=[new(hidden) if silu else z[:-1] for z in zs],
-            ups=new([(n, fan_in) for fan_in, _ in shapes[1:]]), prods=new(shapes),
-            deriv=np.empty((n, config.hidden_dim)),
+            params=_FlatLayers(np.empty(_flat_size(shapes), dtype=np.float32), shapes),
+            posts=new([(n, shapes[0][0]), (n, config.hidden_dim)], np.float32),
+            ups=new([(n, fan_out) for _, fan_out in shapes], np.float32),
+            prods=new(shapes, np.float32),
         )
 
     return _slot((tuple(shapes), n, config.activation, branches), build)
@@ -416,12 +402,14 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     """Loss mean ||sigma f - target||^2 over rows, and its parameter gradients.
 
     One pass on the calling thread, in its `_workspace`: each branch runs its
-    hidden and output layers on the whole batch, positive branch first, and
-    stops at its first non-finite layer.  Then, branch by branch and from the
-    last layer down, each layer's weight gradients post.T @ g and g.sum(axis=0)
-    are added into a zeroed vector and g becomes its input gradient
-    (g @ W.T) * act'.  The gradient vector is fresh, so nothing returned
-    aliases the workspace.
+    float64 hidden and output layers on the whole batch, positive branch
+    first, and stops at its first non-finite layer; the loss and its output
+    gradient g are float64.  Then, branch by branch and from the last layer
+    down, in float32 on casts of the weights, of g and of the layer's input
+    post, each layer's post.T @ g and g.sum(axis=0) are added into a zeroed
+    float64 vector and g becomes its input gradient (g @ W.T) * act'.  A cast
+    past float32's range gives inf quietly, and a non-finite gradient.  The
+    gradient vector is fresh, so nothing returned aliases the workspace.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = np.atleast_2d(np.asarray(residual_target, dtype=np.float64))
@@ -450,22 +438,28 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
     d_out = 2.0 * sig * resid / n
     grads = NetworkGrads(np.zeros_like(params.flat), params.shapes)
-    upstreams = (0.5 * d_out, -0.5 * d_out) if config.antisymmetrize else (d_out,)
-    d = ws.deriv
-    for h, zs, sgs, acts, g in zip(ws.inputs, ws.zs, ws.sgs, ws.acts, upstreams):
-        for i in reversed(range(len(params.weights))):  # g: the loss gradient at layer i's matmul
-            grads.weights[i] += np.matmul((acts[i - 1] if i else h).T, g, out=ws.prods[i])
-            grads.biases[i] += g.sum(axis=0)
-            if i:
-                g = np.matmul(g, params.weights[i].T, out=ws.ups[i - 1])
-                if silu:  # silu'(z) = sg * (1 + z * (1 - sg))
-                    np.subtract(1.0, sgs[i - 1], out=d)
-                    d *= zs[i - 1]
-                    d += 1.0
-                    d *= sgs[i - 1]
-                else:  # relu's output is > 0 exactly where its input is
-                    np.greater(acts[i - 1], 0.0, out=d)
-                g *= d
+    scales = (0.5, -0.5) if config.antisymmetrize else (1.0,)
+    w = ws.params.weights
+    with np.errstate(over="ignore"):  # past float32's range: inf
+        ws.params.flat[:] = params.flat
+        for h, zs, sgs, acts, scale in zip(ws.inputs, ws.zs, ws.sgs, ws.acts, scales):
+            g = np.multiply(d_out, scale, out=ws.ups[-1])
+            for i in reversed(range(len(w))):  # g: the loss gradient at layer i's matmul
+                post = ws.posts[min(i, 1)]  # layer i's input, then act' of layer i - 1
+                post[:] = acts[i - 1] if i else h
+                grads.weights[i] += np.matmul(post.T, g, out=ws.prods[i])
+                grads.biases[i] += g.sum(axis=0)
+                if i:
+                    g = np.matmul(g, w[i].T, out=ws.ups[i - 1])
+                    if silu:  # silu'(z) = sg * (1 + z * (1 - sg)), in float64 over act
+                        a = np.subtract(1.0, sgs[i - 1], out=acts[i - 1])
+                        a *= zs[i - 1]
+                        a += 1.0
+                        a *= sgs[i - 1]
+                        post[:] = a
+                    else:  # relu's output is > 0 exactly where its input is
+                        np.greater(acts[i - 1], 0.0, out=post)
+                    g *= post
     return loss, grads
 
 
@@ -560,6 +554,8 @@ def train(
             loss, grads = backward(params, config, xt, target, sig)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at step {step}", step=step)
+            if not _finite(grads.flat):  # float32 products can overflow where float64 did not
+                raise TrainingDivergedError(f"non-finite gradient at step {step}", step=step)
             params = adam_step(params, grads, lr)
             curve[step] = loss
     finally:
@@ -568,7 +564,9 @@ def train(
 
 
 def save_checkpoint(path, params: NetworkParams, config: MlpConfig, extras: dict | None = None):
-    """Write magic | version | header_len | JSON header | layer data | sha256."""
+    """Write magic | version | header_len | JSON header (config, layer shapes,
+    caller extras) | little-endian float64 parameters | sha256 of all before;
+    the header's config follows a run config's `model` rules (`json_fields`)."""
     header = {
         "config": asdict(config),
         "layer_shapes": [list(s) for s in config.layer_shapes()],

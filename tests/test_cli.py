@@ -321,6 +321,20 @@ def test_train_divergence_exits_two(tmp_path, capsys):
     assert "runtime abort" in capsys.readouterr().err
 
 
+def test_train_float32_gradient_overflow_exits_two(tmp_path, capsys):
+    # a gradient that float64 products keep finite but float32 products
+    # overflow (see test_mlp): a runtime abort that names its step, and no
+    # cast overflow warns
+    cfg = write_config(tmp_path, training={"lr": 1e40, "steps": 10})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == "runtime abort: non-finite gradient at step 1\n"
+    assert not (tmp_path / "run" / "checkpoint.bin").exists()
+    assert not [w for w in caught if "cast" in str(w.message)]
+
+
 def test_train_zero_steps_reports_no_loss(tmp_path, capsys):
     cfg = write_config(tmp_path, training={"steps": 0})
     assert main(["train", "--config", str(cfg)]) == 0

@@ -228,21 +228,22 @@ def test_forward_nonfinite_hidden_layer_aborts_with_finite_output():
 
 
 def test_finite_layer_with_overflowing_sum_passes_silently():
-    # each entry finite, their sum is not: in float32 for the forward, in
-    # float64 for backward
+    # layer 0 holds 3e38 in every entry: finite in float32, but the sum of a
+    # row is not.  The forward's float32 layer passes its check, and
+    # backward's float64 layer casts to finite float32 products
     cfg = tiny_config(activation="relu")
     params = init_params(cfg, np.random.default_rng(9))
     params.weights[0][:] = 0.0
     params.weights[1][:] = 0.0
+    params.biases[0][:] = 3e38
     x = np.ones((4, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        params.biases[0][:] = 3e38
         out = forward(params, cfg, x, 1.0)
-        params.biases[0][:] = 1e308
-        loss, _ = backward(params, cfg, x, np.zeros((4, 2)), 1.0)
+        loss, grads = backward(params, cfg, x, np.zeros((4, 2)), 1.0)
     assert np.all(out == 0.0)
     assert loss == 0.0
+    assert np.all(grads.flat == 0.0)
 
 
 # ------------------------------------------------ reference implementation ----
@@ -319,16 +320,24 @@ def ref_forward(params, config, x, sigma):
     return out.astype(np.float64)
 
 
-def ref_backprop_branch(params, config, pre, post, upstream, grads):
-    g = upstream
-    for i in reversed(range(len(params.weights))):
-        grads.weights[i] += post[i].T @ g
-        grads.biases[i] += g.sum(axis=0)
-        if i > 0:
-            g = (g @ params.weights[i].T) * ref_act_grad(config.activation, pre[i - 1])
+def ref_backprop_branch(params, config, pre, post, upstream, grads, dtype):
+    """Add one branch's gradients into the float64 `grads`, from products in
+    `dtype` on casts of the weights, the layer inputs `post` and the float64
+    `upstream`; the activation derivative is float64, cast to dtype."""
+    with np.errstate(over="ignore"):  # past float32's range: inf
+        w = [a.astype(dtype) for a in params.weights]
+        g = upstream.astype(dtype)
+        for i in reversed(range(len(w))):
+            grads.weights[i] += post[i].astype(dtype).T @ g
+            grads.biases[i] += g.sum(axis=0)
+            if i > 0:
+                g = (g @ w[i].T) * ref_act_grad(config.activation, pre[i - 1]).astype(dtype)
 
 
-def ref_backward(params, config, x, residual_target, sigma):
+def ref_backward(params, config, x, residual_target, sigma, dtype=np.float32):
+    """The backward's reference: the float64 forward, loss and output
+    gradient, then `ref_backprop_branch` with products in dtype.  float64
+    gives the all-float64 backward that the float32 products replaced."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = np.atleast_2d(np.asarray(residual_target, dtype=np.float64))
     n = x.shape[0]
@@ -349,10 +358,10 @@ def ref_backward(params, config, x, residual_target, sigma):
     d_out = 2.0 * sig * resid / n
     grads = NetworkGrads(np.zeros_like(params.flat), params.shapes)
     if config.antisymmetrize:
-        ref_backprop_branch(params, config, pre_pos, post_pos, 0.5 * d_out, grads)
-        ref_backprop_branch(params, config, pre_neg, post_neg, -0.5 * d_out, grads)
+        ref_backprop_branch(params, config, pre_pos, post_pos, 0.5 * d_out, grads, dtype)
+        ref_backprop_branch(params, config, pre_neg, post_neg, -0.5 * d_out, grads, dtype)
     else:
-        ref_backprop_branch(params, config, pre_pos, post_pos, d_out, grads)
+        ref_backprop_branch(params, config, pre_pos, post_pos, d_out, grads, dtype)
     return loss, grads
 
 
@@ -429,8 +438,40 @@ def test_chained_adam_steps_match_reference_bitwise(activation, antisym, embeddi
         assert_same_bits(a, b)
 
 
-def ref_train(config, loss_kind, dataset, manifold, schedule, steps, batch_size, lr, seed):
-    """train's loop on the reference backward and Adam, with the same draws."""
+@NET_VARIANTS
+@pytest.mark.parametrize("rows", [1, 7, 512])
+def test_backward_loss_matches_the_float64_reference_bitwise(activation, antisym, embedding,
+                                                              fdim, rows):
+    # the forward and the loss stay float64: only the gradient products moved
+    cfg = tiny_config(hidden_dim=16, activation=activation, antisymmetrize=antisym,
+                      sigma_embedding=embedding, fourier_dim=fdim)
+    params, x, target, sig = backward_case(cfg, rows, 44)
+    loss, _ = backward(params, cfg, x, target, sig)
+    ref_loss, _ = ref_backward(params, cfg, x, target, sig, dtype=np.float64)
+    assert_same_bits(loss, ref_loss)
+
+
+# float32 products against float64 ones, in float32 epsilons of the layer's
+# largest float64 gradient: 3.5-7.6 on the ring and 11-91 on S^3 (where the
+# two antisymmetric branches cancel) over 20 seeds
+PRODUCT_BOUND = 256 * np.finfo(np.float32).eps
+
+
+@pytest.mark.parametrize("run", ["ring_relu128_batch512", "s3_silu64_antisym_batch128"])
+def test_float32_product_gradients_stay_near_the_float64_reference(run):
+    config, _, _, _, batch = benchmark_shaped_run(run)
+    params, x, target, sig = backward_case(config, batch, 45)
+    _, grads = backward(params, config, x, target, sig)
+    _, ref = ref_backward(params, config, x, target, sig, dtype=np.float64)
+    for got, want in zip(grads.weights + grads.biases, ref.weights + ref.biases, strict=True):
+        assert np.abs(got - want).max() <= PRODUCT_BOUND * np.abs(want).max()
+        assert not np.array_equal(got, want) or not want.any()  # the products did move
+
+
+def ref_train(config, loss_kind, dataset, manifold, schedule, steps, batch_size, lr, seed,
+              dtype=np.float32):
+    """train's loop on the reference backward, with products in dtype, and
+    the reference Adam, with the same draws."""
     rng = np.random.default_rng(seed)
     params = init_params(config, rng)
     curve = np.empty(steps)
@@ -442,7 +483,7 @@ def ref_train(config, loss_kind, dataset, manifold, schedule, steps, batch_size,
             target = dsm_target(x0, xt, sig)
         else:
             target = mad_target(x0, xt, sig, manifold)
-        curve[step], grads = ref_backward(params, config, xt, target, sig)
+        curve[step], grads = ref_backward(params, config, xt, target, sig, dtype)
         params = ref_adam_step(params, grads, lr)
     return params, curve
 
@@ -1303,6 +1344,26 @@ def test_train_divergence_aborts():
             train(cfg, "dsm", RING.points.copy(), RING, SCHEDULE,
                   steps=10, batch_size=8, lr=1e154, seed=0)
     assert exc.value.step is not None
+
+
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_float32_gradient_overflow_aborts_at_its_step(activation):
+    # lr 1e40 puts the final layer near 1e40 after one step, past float32's
+    # range, and the next step's output gradient with it: the float64
+    # products stay finite for every step, the float32 casts do not, and
+    # train names the step
+    cfg = tiny_config(activation=activation)
+    args = (cfg, "mad", RING.points.copy(), RING, SCHEDULE)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref, curve = ref_train(*args, 5, 8, 1e40, 0, dtype=np.float64)
+    assert np.all(np.isfinite(curve)) and np.all(np.isfinite(ref.flat))
+    assert np.abs(ref.weights[-1]).max() > np.finfo(np.float32).max
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TrainingDivergedError, match="^non-finite gradient at step 1$") as exc:
+            train(*args, steps=5, batch_size=8, lr=1e40, seed=0)
+    assert exc.value.step == 1
+    assert not [w for w in caught if "cast" in str(w.message)]
 
 
 UNIFORM_RING_DATA = circle_points(8)[np.tile(np.arange(8), 64)]

@@ -1,5 +1,5 @@
 """The verdict of tools/train_pairs.py on the artifact hashes its runs wrote,
-and its report of how far two trees' samples are apart."""
+and its reports of how far two trees' losses and samples are apart."""
 
 import importlib.util
 from pathlib import Path
@@ -76,4 +76,29 @@ def test_sample_gap_on_tables_of_different_shape_and_no_drift(train_pairs):
         "base: logged drift none",
         "change: logged drift 0.5",
         "samples differ in shape: no coordinate gap",
+    ]
+
+
+def test_loss_gap_reports_each_loss_tail_and_the_largest_step_gap(train_pairs):
+    outputs = {
+        "base": {"loss.csv": "step,loss\n0,4.0\n1,2.0\n2,1.0\n3,0.5\n"},
+        "change": {"loss.csv": "step,loss\n0,4.0\n1,2.25\n2,1.0\n3,0.25\n"},
+    }
+    # the tail is the second half of the steps: rows 2 and 3
+    assert train_pairs.loss_gap(outputs) == [
+        "base: loss tail 0.75",
+        "change: loss tail 0.625",
+        "largest |base - change| per-step loss: 0.25",
+    ]
+
+
+def test_loss_gap_on_curves_of_different_length_and_no_steps(train_pairs):
+    outputs = {
+        "base": {"loss.csv": "step,loss\n"},
+        "change": {"loss.csv": "step,loss\n0,1.5\n1,0.5\n2,0.25\n"},
+    }
+    assert train_pairs.loss_gap(outputs) == [
+        "base: loss tail none",
+        "change: loss tail 0.375",
+        "loss curves differ in length: no per-step gap",
     ]

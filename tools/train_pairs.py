@@ -28,9 +28,11 @@ Prints every pair, then per tree the median and quartiles of the seconds,
 the number of pairs the change won, and the sha256 of each compared artifact
 (one line per distinct value seen).  Then one verdict line per tree, on
 whether its runs wrote one hash per artifact, and one line comparing the
-trees.  When the trees' `samples.csv` differ, it also prints each tree's
-logged drift and the largest absolute coordinate difference between the two
-trees' samples (`sample_gap`, from each tree's first run).  Exits 1 if either
+trees.  When the trees' `loss.csv` differ, it also prints each tree's loss
+tail and the largest per-step loss difference between the trees
+(`loss_gap`); when their `samples.csv` differ, each tree's logged drift and
+the largest absolute coordinate difference between the two trees' samples
+(`sample_gap`); both from each tree's first run.  Exits 1 if either
 tree's runs disagree, 2 if each tree is reproducible but the trees wrote
 different bytes (as a change that moves bytes on purpose does), and 0 if
 every run wrote the same bytes.  Uses the standard library only.
@@ -74,6 +76,7 @@ CONFIGS = {
 SAMPLES = {"ring": (10_000, 502), "s3": (4096, 602)}  # `mdsm sample` --n and --seed
 SAMPLE_SCALES = 300
 ARTIFACTS = {"train": ("checkpoint.bin", "loss.csv"), "sample": ("samples.csv", "metrics.log")}
+TEXTS = {"train": ("loss.csv",), "sample": ARTIFACTS["sample"]}  # what the gap reports read
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -133,7 +136,7 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
     print(" ".join(f"{var}={value}" for var, value in threads.items()), flush=True)
     seconds = {side: [] for side in trees}
     hashes = {side: {name: set() for name in artifacts} for side in trees}
-    first = {}  # per tree, the text of its first sample run's artifacts
+    first = {}  # per tree, the text of its first run's TEXTS
     wins = 0
     for k in range(args.pairs):
         order = ("base", "change") if k % 2 == 0 else ("change", "base")
@@ -142,8 +145,8 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
             seconds[side].append(run_once(trees[side], command, out, args.taskset))
             for name in artifacts:
                 hashes[side][name].add(hashlib.sha256((out / name).read_bytes()).hexdigest())
-            if args.phase == "sample" and side not in first:
-                first[side] = {name: (out / name).read_text() for name in artifacts}
+            if side not in first:
+                first[side] = {name: (out / name).read_text() for name in TEXTS[args.phase]}
             shutil.rmtree(out)
         wins += seconds["change"][-1] < seconds["base"][-1]
         print(f"pair {k + 1:2d} ({order[0]} first): base {seconds['base'][-1]:.3f} s, "
@@ -161,11 +164,32 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
             for digest in sorted(hashes[side][name]):
                 print(f"  {side:6s} sha256 {name:14s} {digest}")
     lines, status = verdict(hashes)
-    if args.phase == "sample" and hashes["base"]["samples.csv"] != hashes["change"]["samples.csv"]:
-        lines += sample_gap(first)
+    name, gap = ("loss.csv", loss_gap) if args.phase == "train" else ("samples.csv", sample_gap)
+    if hashes["base"][name] != hashes["change"][name]:
+        lines += gap(first)
     for line in lines:
         print(f"  {line}")
     return status
+
+
+def loss_gap(outputs: dict[str, dict[str, str]]) -> list[str]:
+    """How far two trees' `mdsm train` runs are apart, from the text of each
+    tree's `loss.csv`: one line per tree with its loss tail, the mean loss
+    over the second half of the steps as perfbench's `loss_tail` takes it,
+    then one with the largest absolute difference between the trees' losses
+    at one step, or a note that the curves differ in length."""
+    lines, curves = [], []
+    for side, files in outputs.items():
+        curve = [float(row.split(",")[1]) for row in files["loss.csv"].splitlines()[1:]]
+        tail = curve[len(curve) // 2:]
+        lines.append(f"{side}: loss tail {statistics.fmean(tail)!r}" if tail
+                     else f"{side}: loss tail none")
+        curves.append(curve)
+    base, change = curves
+    if len(base) != len(change):
+        return lines + ["loss curves differ in length: no per-step gap"]
+    gap = max((abs(a - b) for a, b in zip(base, change)), default=0.0)
+    return lines + [f"largest |base - change| per-step loss: {gap!r}"]
 
 
 def sample_gap(outputs: dict[str, dict[str, str]]) -> list[str]:
