@@ -242,12 +242,29 @@ def _hidden_layers(params: _FlatLayers, silu: bool, h, zs, sgs, acts, check=True
     return None
 
 
-def _output_layer(params: _FlatLayers, h: np.ndarray, out: np.ndarray, check=True) -> bool:
-    """Run the output layer from h into out; False if `check` finds a
-    non-finite entry there."""
-    np.matmul(h, params.weights[-1], out=out)
-    out += params.biases[-1]
-    return not check or _finite(out)
+def _walk(params: _FlatLayers, silu: bool, h, zs, sgs, acts, out, check: bool, half: int):
+    """Run every layer on h, the hidden layers as `_hidden_layers` does and
+    the output layer from acts[-1] into out; h stacks the positive branch's
+    `half` rows over the negative branch's, if any.  Returns None, or the
+    (branch, layer) to name: the positive branch's first non-finite layer,
+    the output layer counting as the last, else the negative branch's, told
+    apart by walking the positive rows again, checked, only when a stacked
+    walk fails."""
+
+    def run(rows):  # the first `rows` rows of h: all of them, or the positive branch
+        layer = _hidden_layers(params, silu, h[:rows],
+                               *([b[:rows] for b in bufs] for bufs in (zs, sgs, acts)), check)
+        if layer is None:
+            z = np.matmul(acts[-1][:rows], params.weights[-1], out=out[:rows])
+            z += params.biases[-1]
+            layer = None if not check or _finite(z) else len(params.weights) - 1
+        return layer
+
+    layer = run(len(h))
+    if layer is None or half == len(h):
+        return None if layer is None else (0, layer)
+    top = run(half)
+    return (1, layer) if top is None else (0, top)
 
 
 def _blocked_forward(params: _FlatLayers, config: MlpConfig, ws: SimpleNamespace,
@@ -258,48 +275,40 @@ def _blocked_forward(params: _FlatLayers, config: MlpConfig, ws: SimpleNamespace
     alone, and each worker walks its run of them, so the bytes do not depend
     on the CPU count: OpenBLAS runs a GEMM of a few rows through other kernels
     (GEMV for one row), and the narrow (hidden, dim) output GEMM's bytes
-    depend on its row count.  A block runs every layer while its rows stay in
-    cache: its hidden layers alternate between the run's two block buffers,
-    each silu sigmoid going into the one the layer does not write, and the
-    output layer writes the block's rows of `out`.  With antisymmetrize the
-    block then runs again on [-x || embed] from the run's negative input
-    buffer into its negative output buffer, and its rows of `out` become
-    (f(x) - f(-x)) / 2.  With `check`, a branch stops at its first non-finite
-    layer, the output layer counting as the last, and the error names the
-    positive branch's lowest such layer over all blocks, else the negative
-    branch's, as full-batch passes checking layer by layer would.
+    depend on its row count.  Each block makes one `_walk` through every
+    layer while its rows stay in cache, its hidden layers alternating between
+    the run's two block buffers, each silu sigmoid going into the one the
+    layer does not write.  With antisymmetrize the walk runs on the block's
+    rows stacked over their mirror [-x || embed] in the run's input buffer,
+    into its output buffer, and the block's rows of `out` become the top half
+    less the bottom half, halved: (f(x) - f(-x)) / 2; without, it runs on the
+    block's input rows into its rows of `out`.  With `check`, the error names
+    the positive branch's lowest failing layer over all blocks, else the
+    negative branch's, as full-batch passes per branch would.
     """
     layers = len(params.weights) - 1
     silu = config.activation == "silu"
     dim = config.input_dim
 
-    def run_blocks(shard):  # the run's lowest failing (branch, layer), if any
-        blocks, pair, neg_in, neg_out = shard
+    def run_blocks(shard):  # per block of the run: its failing (branch, layer) or None
+        blocks, pair, stack_in, stack_out = shard
         failed = []
         for start, stop in blocks:
             rows = stop - start
+            h, dest = ws.inputs[start:stop], out[start:stop]
+            if stack_in is not None:
+                h, dest = stack_in[: 2 * rows], stack_out[: 2 * rows]
+                h[:rows] = h[rows:] = ws.inputs[start:stop]
+                np.negative(h[rows:, :dim], out=h[rows:, :dim])
             # layer i writes zs[i + 1] and its sigmoid into zs[i], its input if i > 0
-            zs = [pair[(i + 1) % 2][:rows] for i in range(layers + 1)]
-            branches = [(ws.inputs[start:stop], out[start:stop])]
-            if neg_in is not None:
-                h = neg_in[:rows]
-                np.negative(ws.inputs[start:stop, :dim], out=h[:, :dim])
-                h[:, dim:] = ws.inputs[start:stop, dim:]
-                branches.append((h, neg_out[:rows]))
-            for branch, (h, dest) in enumerate(branches):
-                layer = _hidden_layers(params, silu, h, zs[1:], zs, zs[1:], check)
-                if layer is None and not _output_layer(params, zs[-1], dest, check):
-                    layer = layers
-                if layer is not None:
-                    failed.append((branch, layer))
-                    break
-            else:
-                if neg_in is not None:
-                    out[start:stop] -= neg_out[:rows]
-                    out[start:stop] *= 0.5
-        return min(failed, default=None)
+            zs = [pair[(i + 1) % 2][: len(h)] for i in range(layers + 1)]
+            failed.append(_walk(params, silu, h, zs[1:], zs, zs[1:], dest, check, rows))
+            if stack_in is not None and failed[-1] is None:
+                np.subtract(dest[:rows], dest[rows:], out=out[start:stop])
+                out[start:stop] *= 0.5
+        return failed
 
-    failed = [f for f in map_shards(run_blocks, ws.shards) if f is not None]
+    failed = [f for run in map_shards(run_blocks, ws.shards) for f in run if f is not None]
     if failed:
         raise _diverged(min(failed)[1])
 
@@ -352,114 +361,116 @@ def drop_workspace() -> None:
 def _forward_workspace(config: MlpConfig, n: int) -> SimpleNamespace:
     """float32 buffers for a forward pass on n rows: the parameter copy, the
     assembled input, and per worker run of blocks (`worker_blocks`) the run's
-    blocks, its two hidden block buffers and, with antisymmetrize, its negative
-    branch's block input and output (else None).  No buffer of hidden width
-    holds more than a block.  The caller owns every run's buffers, so pool
-    threads keep none."""
+    blocks, its two hidden block buffers and, with antisymmetrize, its
+    stacked block input and output (else None).  Each block buffer holds one
+    block's rows, twice over with antisymmetrize.  The caller owns every run's
+    buffers, so pool threads keep none."""
     runs = worker_blocks(n)
     shapes = config.layer_shapes()
     width = config.input_dim + config.embed_dim
+    anti = config.antisymmetrize
 
     def build():
-        block = lambda cols: np.empty((min(n, BLOCK_ROWS), cols), dtype=np.float32)
-        neg = config.antisymmetrize
+        block = lambda cols: np.empty((min(n, BLOCK_ROWS) * (1 + anti), cols), dtype=np.float32)
         return SimpleNamespace(
             params=_FlatLayers(np.empty(_flat_size(shapes), dtype=np.float32), shapes),
             inputs=np.empty((n, width), dtype=np.float32),
             shards=[(blocks, (block(config.hidden_dim), block(config.hidden_dim)),
-                     block(width) if neg else None, block(config.input_dim) if neg else None)
+                     block(width) if anti else None, block(config.input_dim) if anti else None)
                     for blocks in runs],
         )
 
-    return _slot(("forward", tuple(shapes), n, config.antisymmetrize,
-                  tuple(map(tuple, runs))), build)
+    return _slot(("forward", tuple(shapes), n, anti, tuple(map(tuple, runs))), build)
 
 
-def _workspace(config: MlpConfig, n: int, branches: int) -> SimpleNamespace:
-    """The calling thread's workspace for a training step on n rows, rebuilt
-    when the layer shapes, n, the activation or the branch count change."""
+def _workspace(config: MlpConfig, rows: int) -> SimpleNamespace:
+    """The calling thread's workspace for a training step on a stacked input
+    of `rows` rows (2n with antisymmetrize), rebuilt when the layer shapes,
+    the row count or the activation change."""
     shapes = config.layer_shapes()
     silu = config.activation == "silu"
 
     def build():
         new = lambda dims, dtype=np.float64: [np.empty(d, dtype=dtype) for d in dims]
-        hidden = [(n, fan_out) for _, fan_out in shapes[:-1]]
-        zs = [new(hidden + [(n, config.input_dim)]) for _ in range(branches)]
+        hidden = [(rows, fan_out) for _, fan_out in shapes[:-1]]
+        zs = new(hidden + [(rows, config.input_dim)])
         return SimpleNamespace(
-            inputs=new([(n, shapes[0][0])] * branches), zs=zs,
-            sgs=[new(hidden) if silu else [] for _ in zs],
-            acts=[new(hidden) if silu else z[:-1] for z in zs],
+            input=np.empty((rows, shapes[0][0])), zs=zs,
+            sgs=new(hidden) if silu else [], acts=new(hidden) if silu else zs[:-1],
             params=_FlatLayers(np.empty(_flat_size(shapes), dtype=np.float32), shapes),
-            posts=new([(n, shapes[0][0]), (n, config.hidden_dim)], np.float32),
-            ups=new([(n, fan_out) for _, fan_out in shapes], np.float32),
+            posts=new([(rows, shapes[0][0]), (rows, config.hidden_dim)], np.float32),
+            ups=new(hidden, np.float32),
             prods=new(shapes, np.float32),
         )
 
-    return _slot((tuple(shapes), n, config.activation, branches), build)
+    return _slot((tuple(shapes), rows, config.activation), build)
 
 
 def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma):
     """Loss mean ||sigma f - target||^2 over rows, and its parameter gradients.
 
-    One pass on the calling thread, in its `_workspace`: each branch runs its
-    float64 hidden and output layers on the whole batch, positive branch
-    first, and stops at its first non-finite layer; the loss and its output
-    gradient g are float64.  Then, branch by branch and from the last layer
+    One pass on the calling thread, in its `_workspace`: one float64 `_walk`
+    runs every layer on [x || embed], stacked over [-x || embed] with
+    antisymmetrize, and the loss and its output gradient g are float64.  From
+    g, stacked over -g and halved with antisymmetrize, and from the last layer
     down, in float32 on casts of the weights, of g and of the layer's input
-    post, each layer's post.T @ g and g.sum(axis=0) are added into a zeroed
-    float64 vector and g becomes its input gradient (g @ W.T) * act'.  A cast
-    past float32's range gives inf quietly, and a non-finite gradient.  The
-    gradient vector is fresh, so nothing returned aliases the workspace.
+    post, each half's post.T @ g and g.sum(axis=0), positive half first, add
+    into a zeroed float64 vector, and g becomes the input gradient
+    (g @ W.T) * act' over all rows.  Summing per half rounds as a pass per
+    branch does and keeps an odd net's output bias gradient exactly 0.  A
+    product past float32's range gives inf or nan quietly, and a non-finite
+    gradient.  The gradient vector is fresh, so nothing returned aliases the
+    workspace.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = np.atleast_2d(np.asarray(residual_target, dtype=np.float64))
     if x.shape != t.shape or x.shape[1] != config.input_dim:
         raise ValueError("batch and targets must align with the network input dim")
-    n = x.shape[0]
+    n, dim = x.shape
     emb = _embed_sigma(config, sigma, n)
     sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))[:, None]
 
-    ws = _workspace(config, n, 2 if config.antisymmetrize else 1)
-    silu = config.activation == "silu"
-    for branch, (h, zs, sgs, acts) in enumerate(zip(ws.inputs, ws.zs, ws.sgs, ws.acts)):
-        h[:, : config.input_dim] = -x if branch else x
-        h[:, config.input_dim :] = emb
-        failed = _hidden_layers(params, silu, h, zs, sgs, acts)
-        if failed is not None:
-            raise _diverged(failed)
-        if not _output_layer(params, acts[-1], zs[-1]):
-            raise _diverged(len(params.weights) - 1)
-    out = ws.zs[0][-1]
+    scales = (0.5, -0.5) if config.antisymmetrize else (1.0,)
+    halves = [slice(k * n, (k + 1) * n) for k in range(len(scales))]
+    ws = _workspace(config, len(scales) * n)
+    h = ws.input
+    h[:n, :dim], h[:n, dim:] = x, emb
     if config.antisymmetrize:
-        out -= ws.zs[1][-1]
+        h[n:, :dim], h[n:, dim:] = -x, emb
+    silu = config.activation == "silu"
+    failed = _walk(params, silu, h, ws.zs, ws.sgs, ws.acts, ws.zs[-1], True, n)
+    if failed is not None:
+        raise _diverged(failed[1])
+    out = ws.zs[-1][:n]
+    if config.antisymmetrize:
+        out -= ws.zs[-1][n:]
         out *= 0.5
 
     resid = sig * out - t
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
     d_out = 2.0 * sig * resid / n
     grads = NetworkGrads(np.zeros_like(params.flat), params.shapes)
-    scales = (0.5, -0.5) if config.antisymmetrize else (1.0,)
     w = ws.params.weights
-    with np.errstate(over="ignore"):  # past float32's range: inf
+    with np.errstate(over="ignore", invalid="ignore"):  # past float32's range: inf or nan
         ws.params.flat[:] = params.flat
-        for h, zs, sgs, acts, scale in zip(ws.inputs, ws.zs, ws.sgs, ws.acts, scales):
-            g = np.multiply(d_out, scale, out=ws.ups[-1])
-            for i in reversed(range(len(w))):  # g: the loss gradient at layer i's matmul
-                post = ws.posts[min(i, 1)]  # layer i's input, then act' of layer i - 1
-                post[:] = acts[i - 1] if i else h
-                grads.weights[i] += np.matmul(post.T, g, out=ws.prods[i])
-                grads.biases[i] += g.sum(axis=0)
-                if i:
-                    g = np.matmul(g, w[i].T, out=ws.ups[i - 1])
-                    if silu:  # silu'(z) = sg * (1 + z * (1 - sg)), in float64 over act
-                        a = np.subtract(1.0, sgs[i - 1], out=acts[i - 1])
-                        a *= zs[i - 1]
-                        a += 1.0
-                        a *= sgs[i - 1]
-                        post[:] = a
-                    else:  # relu's output is > 0 exactly where its input is
-                        np.greater(acts[i - 1], 0.0, out=post)
-                    g *= post
+        g = np.concatenate([d_out * scale for scale in scales], dtype=np.float32)
+        for i in reversed(range(len(w))):  # g: the loss gradient at layer i's matmul
+            post = ws.posts[min(i, 1)]  # layer i's input, then act' of layer i - 1
+            post[:] = ws.acts[i - 1] if i else h
+            for rows in halves:
+                grads.weights[i] += np.matmul(post[rows].T, g[rows], out=ws.prods[i])
+                grads.biases[i] += g[rows].sum(axis=0)
+            if i:
+                g = np.matmul(g, w[i].T, out=ws.ups[i - 1])
+                if silu:  # silu'(z) = sg * (1 + z * (1 - sg)), in float64 over act
+                    a = np.subtract(1.0, ws.sgs[i - 1], out=ws.acts[i - 1])
+                    a *= ws.zs[i - 1]
+                    a += 1.0
+                    a *= ws.sgs[i - 1]
+                    post[:] = a
+                else:  # relu's output is > 0 exactly where its input is
+                    np.greater(ws.acts[i - 1], 0.0, out=post)
+                g *= post
     return loss, grads
 
 

@@ -335,6 +335,19 @@ def test_train_float32_gradient_overflow_exits_two(tmp_path, capsys):
     assert not [w for w in caught if "cast" in str(w.message)]
 
 
+def test_train_diverging_products_abort_without_numpy_warnings(tmp_path, capsys):
+    # at lr 1e30 a product overflows to inf and meets a zero in the next
+    # product or bias sum (nan); the abort line names the step, and no
+    # numpy warning comes before it, with no errstate set by the caller
+    cfg = write_config(tmp_path, training={"lr": 1e30})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["train", "--config", str(cfg)])
+    assert rc == 2
+    assert capsys.readouterr().err == "runtime abort: non-finite gradient at step 1\n"
+    assert [str(w.message) for w in caught] == []
+
+
 def test_train_zero_steps_reports_no_loss(tmp_path, capsys):
     cfg = write_config(tmp_path, training={"steps": 0})
     assert main(["train", "--config", str(cfg)]) == 0

@@ -290,30 +290,57 @@ def ref_grid(n):
     return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
-def ref_blocks(params, config, h):
-    """One allocating pass per block of `ref_grid`; a failure names the
-    lowest failing layer over all blocks."""
+def ref_blocks(params, config, h, neg=None):
+    """One allocating pass per block of `ref_grid` on the block's rows of h,
+    stacked over its rows of neg when given, whose output is then the top
+    half less the bottom half, halved; a failure names the lowest failing
+    layer over all blocks."""
     outs, failed = [], []
     for start, stop in ref_grid(h.shape[0]):
+        block = h[start:stop] if neg is None else np.concatenate([h[start:stop], neg[start:stop]])
         try:
-            outs.append(ref_plain_forward(params, config, h[start:stop], keep=False))
+            out = ref_plain_forward(params, config, block, keep=False)
         except TrainingDivergedError as exc:
             failed.append(int(str(exc).rsplit(" ", 1)[1]))
+            continue
+        outs.append(out if neg is None else 0.5 * (out[: stop - start] - out[stop - start :]))
     if failed:
         raise TrainingDivergedError(f"non-finite activations at layer {min(failed)}")
     return np.concatenate(outs) if outs else np.empty((0, config.input_dim), dtype=h.dtype)
 
 
-def ref_forward(params, config, x, sigma):
-    """The forward's reference: `ref_blocks` in float32, from the float32-cast
-    parameters and [x || embed], then, with antisymmetrize, on [-x || embed];
-    the positive branch fails first.  Returns float64."""
+def ref_inputs32(params, config, x, sigma):
+    """float32 casts of the parameters, [x || embed] and [-x || embed]."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     emb = _embed_sigma(config, sigma, x.shape[0])
     with np.errstate(over="ignore"):  # past float32's range: inf
         p32 = NetworkParams(params.flat.astype(np.float32), params.shapes)
         pos = np.concatenate([x, emb], axis=1).astype(np.float32)
         neg = np.concatenate([-x, emb], axis=1).astype(np.float32)
+    return p32, pos, neg
+
+
+def ref_forward(params, config, x, sigma):
+    """The forward's reference: `ref_blocks` in float32, from the float32-cast
+    parameters and [x || embed], stacked per block over [-x || embed] with
+    antisymmetrize.  A failing stacked pass raises what
+    `ref_forward_branches` raises, so the positive branch is named first.
+    Returns float64."""
+    p32, pos, neg = ref_inputs32(params, config, x, sigma)
+    try:
+        out = ref_blocks(p32, config, pos, neg if config.antisymmetrize else None)
+    except TrainingDivergedError:
+        ref_forward_branches(params, config, x, sigma)  # a failing positive branch is named
+        raise
+    return out.astype(np.float64)
+
+
+def ref_forward_branches(params, config, x, sigma):
+    """The forward's second reference, one branch at a time: `ref_blocks` on
+    [x || embed], then, with antisymmetrize, on [-x || embed]; the positive
+    branch fails first.  Bit for bit the stacked reference at n >= 2, where
+    no block runs as a one-row product.  Returns float64."""
+    p32, pos, neg = ref_inputs32(params, config, x, sigma)
     out = ref_blocks(p32, config, pos)
     if config.antisymmetrize:
         out = 0.5 * (out - ref_blocks(p32, config, neg))
@@ -335,9 +362,51 @@ def ref_backprop_branch(params, config, pre, post, upstream, grads, dtype):
 
 
 def ref_backward(params, config, x, residual_target, sigma, dtype=np.float32):
-    """The backward's reference: the float64 forward, loss and output
-    gradient, then `ref_backprop_branch` with products in dtype.  float64
-    gives the all-float64 backward that the float32 products replaced."""
+    """The backward's reference: one float64 forward on [x || embed], stacked
+    over [-x || embed] with antisymmetrize (a failure names the positive
+    branch's layer first), the loss and output gradient g, then products in
+    dtype from g, stacked over -g and halved with antisymmetrize, with each
+    layer's weight product and bias sum taken per half, positive half first.
+    float64 gives the all-float64 backward that the float32 products
+    replaced."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    t = np.atleast_2d(np.asarray(residual_target, dtype=np.float64))
+    n = x.shape[0]
+    emb = _embed_sigma(config, sigma, n)
+    sig = np.broadcast_to(np.asarray(sigma, dtype=np.float64), (n,))[:, None]
+    pos = np.concatenate([x, emb], axis=1)
+    scales = (0.5, -0.5) if config.antisymmetrize else (1.0,)
+    h = np.concatenate([pos, np.concatenate([-x, emb], axis=1)]) if config.antisymmetrize else pos
+    try:
+        out, pre, post = ref_plain_forward(params, config, h, keep=True)
+    except TrainingDivergedError:
+        ref_plain_forward(params, config, pos, keep=False)  # a failing positive branch is named
+        raise
+    if config.antisymmetrize:
+        out = 0.5 * (out[:n] - out[n:])
+    resid = sig * out - t
+    loss = float(np.mean(np.sum(resid * resid, axis=1)))
+    d_out = 2.0 * sig * resid / n
+    grads = NetworkGrads(np.zeros_like(params.flat), params.shapes)
+    halves = [slice(k * n, (k + 1) * n) for k in range(len(scales))]
+    with np.errstate(over="ignore"):  # past float32's range: inf
+        w = [a.astype(dtype) for a in params.weights]
+        g = np.concatenate([scale * d_out for scale in scales]).astype(dtype)
+        for i in reversed(range(len(w))):
+            inputs = post[i].astype(dtype)
+            for rows in halves:
+                grads.weights[i] += inputs[rows].T @ g[rows]
+                grads.biases[i] += g[rows].sum(axis=0)
+            if i > 0:
+                g = (g @ w[i].T) * ref_act_grad(config.activation, pre[i - 1]).astype(dtype)
+    return loss, grads
+
+
+def ref_backward_branches(params, config, x, residual_target, sigma, dtype=np.float32):
+    """The backward's second reference, one branch at a time: the float64
+    forward, loss and output gradient, then `ref_backprop_branch` with
+    products in dtype, positive branch first.  Bit for bit the stacked
+    reference at n >= 2."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = np.atleast_2d(np.asarray(residual_target, dtype=np.float64))
     n = x.shape[0]
@@ -415,6 +484,19 @@ def test_forward_and_backward_match_reference_bitwise(activation, antisym, embed
     assert_same_bits(loss, ref_loss)
     for a, b in zip(grads.weights + grads.biases, ref_grads.weights + ref_grads.biases):
         assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("rows", [2, 7, 128, 512, 4096])
+def test_stacked_and_per_branch_references_agree_bitwise(rows):
+    # one pass over [x || e; -x || e] rounds as a pass per branch does once
+    # no product runs on a single row (OpenBLAS runs a one-row GEMM as a GEMV)
+    params, x, target, sig = backward_case(S3_SILU64_ANTISYM, rows, 47)
+    assert_same_bits(ref_forward(params, S3_SILU64_ANTISYM, x, sig),
+                     ref_forward_branches(params, S3_SILU64_ANTISYM, x, sig))
+    for dtype in (np.float32, np.float64):
+        assert_same_loss_and_grads(
+            ref_backward(params, S3_SILU64_ANTISYM, x, target, sig, dtype),
+            ref_backward_branches(params, S3_SILU64_ANTISYM, x, target, sig, dtype))
 
 
 @NET_VARIANTS
@@ -695,7 +777,9 @@ def test_blocked_forward_matches_reference_bitwise_at_width_512(monkeypatch, act
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_forward_blocks_hold_half_a_block_to_a_block(monkeypatch, workers):
     # the grid of 256-512-row blocks depends on the row count alone, and each
-    # worker walks one contiguous run of whole blocks
+    # worker walks one contiguous run of whole blocks; an antisymmetric net
+    # walks each block once, its rows stacked over their mirror, and backward
+    # walks its whole batch, stacked the same way, once per call
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
     walked = []
 
@@ -704,40 +788,47 @@ def test_forward_blocks_hold_half_a_block_to_a_block(monkeypatch, workers):
         return _real(params, silu, h, *rest)
 
     monkeypatch.setattr(mlp, "_hidden_layers", spy)
-    cfg = tiny_config(hidden_dim=8)
-    params = randomized_params(cfg, 44)
-    for rows in [1, 511, 512, 513, 1023, 1025, 1537, 2049, 10000]:
-        grid = ref_grid(rows)
-        sizes = [stop - start for start, stop in grid]
-        assert max(sizes) <= rowblocks.BLOCK_ROWS
-        assert min(sizes) >= min(rows, rowblocks.BLOCK_ROWS // 2)
-        runs = rowblocks.worker_blocks(rows)
-        assert len(runs) == min(workers, len(grid)) and all(runs)
-        assert sum(runs, []) == grid
-        walked.clear()
-        forward(params, cfg, np.zeros((rows, 2)), 0.3)
-        assert [blocks for blocks, *_ in mlp._workspaces.ws.shards] == runs
-        assert sorted(walked) == sorted(sizes)
+    for antisym in (False, True):
+        cfg = tiny_config(hidden_dim=8, antisymmetrize=antisym)
+        params = randomized_params(cfg, 44)
+        branches = 2 if antisym else 1
+        for rows in [1, 511, 512, 513, 1023, 1025, 1537, 2049, 10000]:
+            grid = ref_grid(rows)
+            sizes = [stop - start for start, stop in grid]
+            assert max(sizes) <= rowblocks.BLOCK_ROWS
+            assert min(sizes) >= min(rows, rowblocks.BLOCK_ROWS // 2)
+            runs = rowblocks.worker_blocks(rows)
+            assert len(runs) == min(workers, len(grid)) and all(runs)
+            assert sum(runs, []) == grid
+            walked.clear()
+            forward(params, cfg, np.zeros((rows, 2)), 0.3)
+            assert [blocks for blocks, *_ in mlp._workspaces.ws.shards] == runs
+            assert sorted(walked) == sorted(branches * size for size in sizes)
+            walked.clear()
+            backward(params, cfg, np.zeros((rows, 2)), np.zeros((rows, 2)), 0.3)
+            assert walked == [branches * rows]
 
 
 @pytest.mark.parametrize(
     "config", [RING_RELU128, S3_SILU64_ANTISYM], ids=["ring_relu128", "s3_silu64_antisym"])
 def test_forward_workspace_holds_no_full_batch_activation(monkeypatch, config):
     # per run of blocks: two block buffers of hidden width and, antisymmetrized,
-    # the negative branch's block input and output; only the assembled input
-    # spans the batch
+    # the stacked block input and output; a block buffer holds a block's rows,
+    # twice over when antisymmetrized, and only the assembled input spans the
+    # batch
     params = randomized_params(config, 46)
     x = np.random.default_rng(47).standard_normal((10001, config.input_dim))
     width = config.input_dim + config.embed_dim
+    block = rowblocks.BLOCK_ROWS * (2 if config.antisymmetrize else 1)
     for workers in (1, 2, 3):
         monkeypatch.setattr(rowblocks, "_WORKERS", workers)
         forward(params, config, x, 0.3)
         runs = len(rowblocks.worker_blocks(10001))
         arrays = workspace_arrays()
         hidden = [a.shape[0] for a in arrays if a.shape[1] == config.hidden_dim]
-        assert max(hidden) <= rowblocks.BLOCK_ROWS and len(hidden) <= 2 * runs
+        assert max(hidden) <= block and len(hidden) <= 2 * runs
         rest = [a.shape for a in arrays if a.shape[1] != config.hidden_dim]
-        assert [s for s in rest if s[0] > rowblocks.BLOCK_ROWS] == [(10001, width)]
+        assert [s for s in rest if s[0] > block] == [(10001, width)]
         assert len(rest) - 1 <= 2 * runs * config.antisymmetrize
 
 

@@ -71,3 +71,40 @@ def test_every_row_of_the_package_adds_up(src_lines, capsys):
         else:
             assert total == len(modules[name].read_text(encoding="utf-8").splitlines())
             sums = [s + v for s, v in zip(sums, [total, *parts])]
+
+
+def write_package(root, modules):
+    root.mkdir()
+    for name, source in modules.items():
+        (root / f"{name}.py").write_text(source, encoding="utf-8")
+    return root
+
+
+def test_base_prints_each_column_change_per_module(src_lines, tmp_path, capsys):
+    # kept: one code line and a comment line gone, a docstring line and a
+    # blank line added; added and removed modules count as empty on the
+    # side that lacks them
+    base = write_package(tmp_path / "base", {
+        "kept": '"""Doc."""\nx = 1\ny = 2\n# note\n',
+        "removed": "a = 1\n\n",
+    })
+    new = write_package(tmp_path / "new", {
+        "kept": '"""Doc\nover two lines."""\n\nx = 1\n',
+        "added": "# only a comment\n",
+    })
+    assert src_lines.main(["src_lines.py", str(new), "--base", str(base)]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["module", *src_lines.COLUMNS]
+    assert [row.split() for row in rows] == [
+        ["added", "+1", "+0", "+1", "+0", "+0"],
+        ["kept", "+0", "+1", "-1", "+1", "-1"],
+        ["removed", "-2", "+0", "+0", "-1", "-1"],
+        ["total", "-1", "+1", "+0", "+0", "-2"],
+    ]
+
+
+def test_base_against_itself_reads_zero(src_lines, capsys):
+    assert src_lines.main(["src_lines.py", str(PACKAGE), "--base", str(PACKAGE)]) == 0
+    _, *rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == sorted(p.stem for p in PACKAGE.glob("*.py")) + ["total"]
+    assert all(row.split()[1:] == ["+0"] * len(src_lines.COLUMNS) for row in rows)
