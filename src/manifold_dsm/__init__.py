@@ -1,8 +1,3 @@
-"""Score-based diffusion on spheres, rotation groups, and discrete point sets.
-
-Closed-form base scores for the uniform measure on each supported manifold,
-residual score learning, an ambient-space reverse-SDE sampler, quaternion
-canonicalization for symmetric rotation targets, and sample-quality metrics.
-"""
+"""Score-based diffusion on spheres, rotation groups, and discrete point sets."""
 
 __version__ = "0.1.0"

@@ -3,27 +3,15 @@
 For data x0 ~ mu on a support M, perturbed to x_t = x0 + sigma eps, the score
 of the noised marginal is (E[x0|x_t] - x_t)/sigma^2.  When mu is the uniform
 measure on M this posterior mean has a closed form for every support handled
-here, and the resulting "base score" carries all of the support's geometry:
+here: a softmax over a discrete set's points (`_softmax_weights`), and on an
+n-sphere a radial field through one Bessel ratio (`_sphere_score`), never
+formed from Bessel values, so nothing overflows as sigma -> 0 and nothing
+underflows at high n.  Near-origin queries (||x|| < 1e-8) are rejected: the
+formulas are undefined at x = 0 and reverse-SDE trajectories hit the origin
+with probability zero.
 
-* discrete point sets: softmax-weighted mean of the points u_i, with logits
-  ((u_i - c).(x - c) - ||u_i - c||^2 / 2) / sigma^2 about the centroid c (the
-  same softmax as -||x - u_i||^2 / (2 sigma^2)), from one GEMM; each logit
-  rounds by about eps (||x - c|| R + R^2) / sigma^2 with R = max ||u_i - c||;
-* the n-sphere: a radial field whose magnitude depends on one Bessel ratio,
-  rho(z) = I_{(n-3)/2}(z) / I_{(n-1)/2}(z) at z = ||x||/sigma^2, through one
-  formula (`_sphere_score`) shared by every n;
-* S^2: the ratio collapses to coth(z), no special functions needed;
-* S^3 (unit quaternions): the ratio is I_0/I_1.
-
-The ratio is never formed from Bessel values, so nothing overflows as
-sigma -> 0 (z reaches 1e8 and beyond) and nothing underflows at high n.
-Near-origin queries (||x|| < 1e-8) are rejected: the formulas are undefined at
-x = 0 and reverse-SDE trajectories hit the origin with probability zero.
-
-`mc_score_oracle` estimates the same score by self-normalized importance
-sampling from mu directly.  It shares no code with the closed forms, reports a
-standard error, and refuses to answer when the effective sample size is tiny;
-it exists to validate the formulas above.
+`mc_score_oracle` estimates the same score by importance sampling from mu,
+independently of the closed forms it exists to validate.
 
 Functions accept a single query row (d,) or a batch (m, d), with sigma scalar
 or per-row.
@@ -111,7 +99,7 @@ def _softmax_weights(x, sigma, points, log_probs=None) -> np.ndarray:
 def _score_from_mean(mean, x, sigma) -> np.ndarray:
     """(mean - x)/sigma^2, computed in mean's buffer."""
     mean -= x
-    mean /= np.asarray(sigma)[..., None] ** 2
+    mean /= np.asarray(sigma, dtype=np.float64)[..., None] ** 2
     return mean
 
 
@@ -124,9 +112,7 @@ def posterior_mean_discrete(x, sigma, support) -> np.ndarray:
 
 def base_score_discrete(x, sigma, support) -> np.ndarray:
     """(posterior mean - x)/sigma^2 for the uniform discrete measure."""
-    points = _points_of(support)
-    x, sigma = _check_xy_sigma(x, sigma, points.shape[1])
-    return _score_from_mean(_softmax_weights(x, sigma, points) @ points, x, sigma)
+    return _score_from_mean(posterior_mean_discrete(x, sigma, support), x, sigma)
 
 
 def exact_score_discrete(x, sigma, points, probs) -> np.ndarray:
@@ -155,8 +141,7 @@ def _sphere_score(x, sigma, n: int, ratio) -> np.ndarray:
 
     at z = ||x||/sigma^2, with rho(z) = ratio(z) = I_{(n-3)/2}(z) / I_{(n-1)/2}(z).
     rho - (n-1)/(2z) is the Bessel bracket (I_{(n-3)/2} + I_{(n+1)/2}) / (2 I_{(n-1)/2})
-    after the recurrence I_{nu-1} - I_{nu+1} = (2 nu / z) I_nu.  A sigma that
-    puts z below the smallest normal double raises ValueError.
+    after the recurrence I_{nu-1} - I_{nu+1} = (2 nu / z) I_nu.
     """
     x, sigma = _check_xy_sigma(x, sigma, n + 1)
     r = _sphere_radius(x)
@@ -214,41 +199,41 @@ class OracleEstimate:
     score: np.ndarray
     std_error: np.ndarray
     ess: float
-    n_samples: int
 
 
 def mc_score_oracle(x, sigma: float, manifold: Manifold, n_samples: int,
                     rng: np.random.Generator) -> OracleEstimate:
     """Importance-sampled score estimate for a single query point.
 
-    Draws x0 ~ mu (uniform on the sphere via normalized Gaussians, uniform
-    over the points of a discrete support), forms self-normalized weights
-    w_i proportional to exp(-||x - x0_i||^2/(2 sigma^2)) in log domain, and
-    returns (sum w x0 / sum w - x)/sigma^2 together with the delta-method
-    standard error.  Refuses to report when the effective sample size drops
-    below 100.
+    Draws x0 ~ mu (normalized Gaussians on a sphere, uniform over a discrete
+    support's points) and weighs each by w = exp((d^2 - ||x - x0||^2) /
+    (2 sigma^2)), d the distance from x to the support, so every w <= 1.
+    Returns (sum w x0 / sum w - x)/sigma^2 with its delta-method standard
+    error.  Refuses when the effective sample size is below 100, or the
+    largest w below 1e-140: the squared weights behind both underflow from
+    ~1e-154 down.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
+    if np.ndim(x) != 1:
         raise ValueError("the oracle evaluates one query point at a time")
     dim = manifold.ambient_dim
     x, sig = _check_xy_sigma(x, sigma, dim)
     sigma = float(sig)
-    if isinstance(manifold, Sphere):
-        _sphere_radius(x)
     discrete = isinstance(manifold, DiscreteSet)
+    # on a point set d^2 is formed as each draw's ||x - x0||^2, so the nearest w is 1
+    if discrete:
+        d2 = float(np.min(np.sum((x - manifold.points) ** 2, axis=1)))
+    else:
+        d2 = (float(_sphere_radius(x)) - 1.0) ** 2
 
-    # Streaming log-sum-exp accumulators, rescaled whenever the max log-weight
-    # moves: S1 = sum w, Sx = sum w x0, and the squared versions for the SE.
-    m_log = -np.inf
+    # S1 = sum w, Sx = sum w x0, and the squared versions for the SE
+    w_max = 0.0
     s1 = 0.0
     sx = np.zeros(dim)
     s1_sq = 0.0
     sx_sq = np.zeros(dim)
     sxx_sq = np.zeros(dim)
-
     remaining = int(n_samples)
     while remaining > 0:
         m = min(remaining, _ORACLE_CHUNK)
@@ -258,17 +243,8 @@ def mc_score_oracle(x, sigma: float, manifold: Manifold, n_samples: int,
         else:
             g = rng.standard_normal((m, dim))
             x0 = g / np.linalg.norm(g, axis=1, keepdims=True)
-        logw = -np.sum((x - x0) ** 2, axis=1) / (2.0 * sigma**2)
-        m_chunk = float(np.max(logw))
-        if m_chunk > m_log:
-            scale = np.exp(m_log - m_chunk)
-            s1 *= scale
-            sx *= scale
-            s1_sq *= scale**2
-            sx_sq *= scale**2
-            sxx_sq *= scale**2
-            m_log = m_chunk
-        w = np.exp(logw - m_log)
+        w = np.exp((d2 - np.sum((x - x0) ** 2, axis=1)) / (2.0 * sigma**2))
+        w_max = max(w_max, float(np.max(w)))
         s1 += float(np.sum(w))
         sx += w @ x0
         w2 = w * w
@@ -276,7 +252,7 @@ def mc_score_oracle(x, sigma: float, manifold: Manifold, n_samples: int,
         sx_sq += w2 @ x0
         sxx_sq += w2 @ (x0 * x0)
 
-    ess = s1 * s1 / s1_sq
+    ess = s1 * s1 / s1_sq if w_max >= 1e-140 else 0.0
     if ess < 100.0:
         raise UnreliableEstimateError(
             f"effective sample size {ess:.1f} < 100 at sigma={sigma:g}; "
@@ -289,5 +265,4 @@ def mc_score_oracle(x, sigma: float, manifold: Manifold, n_samples: int,
         score=(mean - x) / sigma**2,
         std_error=std_error / sigma**2,
         ess=float(ess),
-        n_samples=int(n_samples),
     )

@@ -1,32 +1,15 @@
 """Modified Bessel functions of the first kind, I_nu, for score computations.
 
 Only the orders that show up in the sphere posterior means are supported:
-integers >= 0 and half-integers >= -1/2.  The evaluation strategy per order:
-
-* nu = +-1/2: closed forms I_{1/2} = sqrt(2/(pi x)) sinh x and
-  I_{-1/2} = sqrt(2/(pi x)) cosh x (DLMF 10.47), written against expm1 so the
-  scaled variants stay fully accurate at small x.
-* nu = 0, 1: both orders at once, as one fixed-length Chebyshev sum per
-  argument, on [0, 8] in x and beyond 8 in 1/x, as in Cephes `i0e`/`i1e`
-  (Moshier, "Methods and Programs for Mathematical Functions", 1989), summed
-  for both pieces in one Clenshaw loop.  The coefficients come from
-  tools/gen_bessel_i01.py.
-* remaining orders: the order-1 or order-1/2 base value divided by each ratio
-  I_{k-1}/I_k up to nu.  A ratio is the quotient of two large-x asymptotic
-  expansions (DLMF 10.40.1) where they converge fast, otherwise the
-  three-term recurrence run in its numerically stable downward direction, as
-  the Gauss continued fraction.  The upward recurrence subtracts nearly equal
-  terms and is avoided.
-
-Everything is evaluated in scaled form e^{-x} I_nu(x) internally; the unscaled
-value is reconstructed on demand.  Scaled values stay finite for arguments up
-to 1e8 and beyond, which the score formulas need because their Bessel argument
-is ||x||/sigma^2.  The sphere scores need only the ratio I_{nu-1}/I_nu, which
-`bessel_ratio` takes from the same two expansions without forming I_nu, so it
-stays finite where high orders underflow.  Every element's bytes are
-independent of the batch it is evaluated in.
-
-All functions accept scalars or numpy arrays and are pure.
+integers >= 0 and half-integers >= -1/2.  Orders +-1/2 have closed forms
+(DLMF 10.47), written against expm1 so the scaled variants stay fully
+accurate at small x.  Orders 0 and 1 are Chebyshev series as in Cephes
+`i0e`/`i1e` (Moshier, "Methods and Programs for Mathematical Functions",
+1989).  Higher orders divide the order-1 or order-1/2 value by each ratio
+I_{k-1}/I_k up to nu (`_ratio`); the upward recurrence subtracts nearly equal
+terms and is avoided.  Everything is evaluated in scaled form internally
+(`bessel_i_scaled`).  All functions accept scalars or numpy arrays and are
+pure.
 """
 
 from __future__ import annotations
@@ -37,8 +20,7 @@ import numpy as np
 
 __all__ = ["bessel_i", "bessel_i_scaled", "bessel_ratio", "bessel_ratio_i0_i1"]
 
-# Ratios use the asymptotic expansions from this argument on (where they
-# also need 4 nu^2 <= x); they reach <= 1e-12 relative error there.
+# Ratios from the asymptotic expansions reach <= 1e-12 relative error here on.
 _CROSSOVER = 15.0
 # Stop summing once a term drops below this fraction of the partial sum.
 _TAIL = 1e-17
@@ -113,7 +95,7 @@ def _as_order(nu) -> float:
 
 
 def _asym_ie(nu: float, x: np.ndarray) -> np.ndarray:
-    # e^{-x} I_nu(x) ~ (2 pi x)^{-1/2} sum_k t_k with t_0 = 1 and
+    # e^{-x} I_nu(x) ~ (2 pi x)^{-1/2} sum_k t_k (DLMF 10.40.1) with t_0 = 1 and
     # t_k = t_{k-1} ((2k-1)^2 - 4 nu^2) / (8 k x).  The series is asymptotic:
     # each element stops at its smallest term (or at the tail tolerance).
     mu = 4.0 * nu * nu
@@ -231,8 +213,7 @@ def _ratio(nu: float, x: np.ndarray) -> np.ndarray:
     fraction for I_nu / I_{nu-1}."""
     out = np.empty_like(x)
     direct = (x >= _CROSSOVER) & (4.0 * nu * nu <= x)
-    if direct.any():
-        out[direct] = _asym_ie(nu - 1.0, x[direct]) / _asym_ie(nu, x[direct])
+    out[direct] = _asym_ie(nu - 1.0, x[direct]) / _asym_ie(nu, x[direct])
     if not direct.all():
         out[~direct] = 1.0 / _ratio_cf(nu - 1.0, x[~direct])
     return out
@@ -249,8 +230,7 @@ def _scaled(nu, x):
         raise ValueError(f"Bessel argument 0 not allowed for order {order}")
     out = np.empty_like(arr)
     zero = arr == 0.0
-    if zero.any():
-        out[zero] = 1.0 if order == 0.0 else 0.0
+    out[zero] = 1.0 if order == 0.0 else 0.0
     if (~zero).any():
         out[~zero] = _ie_positive(order, arr[~zero])
     return order, arr, out
@@ -274,24 +254,22 @@ def bessel_i_scaled(nu, x):
 def bessel_i(nu, x):
     """Modified Bessel function of the first kind I_nu(x).
 
-    Raises OverflowError (distinct from the ValueError domain failures) when
-    the unscaled value exceeds float range; callers hitting that should switch
-    to bessel_i_scaled.
+    Raises OverflowError (distinct from the ValueError domain failures),
+    naming `bessel_i_scaled`, when the value exceeds float range.
     """
     order, arr, scaled = _scaled(nu, x)
     out = np.empty_like(arr)
     small = arr <= 700.0
     out[small] = scaled[small] * np.exp(arr[small])
     big = ~small
-    if big.any():
-        # Reconstruct through the log to dodge intermediate e^x overflow.
-        ln_val = arr[big] + np.log(scaled[big])
-        if np.any(ln_val > _LOG_DBL_MAX):
-            raise OverflowError(
-                f"I_{order}(x) overflows double range at x = "
-                f"{float(np.max(arr[big])):g}; use bessel_i_scaled"
-            )
-        out[big] = np.exp(ln_val)
+    # Reconstruct through the log to dodge intermediate e^x overflow.
+    ln_val = arr[big] + np.log(scaled[big])
+    if np.any(ln_val > _LOG_DBL_MAX):
+        raise OverflowError(
+            f"I_{order}(x) overflows double range at x = "
+            f"{float(np.max(arr[big])):g}; use bessel_i_scaled"
+        )
+    out[big] = np.exp(ln_val)
     return _match_shape(out, x)
 
 

@@ -1,25 +1,9 @@
-"""Command line front end for experiment runs.
-
-Subcommands: make-data, train, sample, eval, oracle-check.  A JSON run config
-drives make-data and train; sample and eval are self-sufficient given a
-checkpoint or sample files, since checkpoints embed the manifold, schedule,
-and loss kind in their header.
+"""Command line front end for experiment runs; README gives its subcommands,
+config sections, files and exit codes.
 
 Each config section is one frozen dataclass: `dataset` is `DatasetSpec`,
 `schedule` is `NoiseSchedule`, `model` is `MlpConfig` (its `input_dim` is the
-manifold's), and `manifold` and `training` are declared here.  `from_dict`
-parses a section; an unknown key, a value of the wrong JSON type, a
-non-finite number or a value the class rejects exits 1 with
-`error: <section>: ...`.
-
-Every command that writes artifacts also writes `<command>.config.json` into
-the output directory: the fields of the config objects the run used, defaults
-expanded, as the checkpoint header also records them.  Rerunning a command
-from that record yields byte-identical primary outputs.  The metrics log is
-append-only and shared across runs.
-
-Exit codes: 0 success, 1 validation/input error, 2 runtime abort,
-3 oracle-check failure.
+manifold's), and `manifold` and `training` are declared here.
 """
 
 from __future__ import annotations
@@ -27,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -122,11 +107,10 @@ def _checked(section: str, make, *args, **kwargs):
 def from_dict(cls, cfg: dict, section: str, **overrides):
     """Build the config dataclass `cls` from the JSON object cfg[section].
 
-    The section's keys and value types are checked by `mlp.json_fields`, the
-    rules checkpoint headers also follow.  `overrides` set fields whatever
-    the section says.  A section that is missing or not a JSON object is
-    named as such; other failures, including the class's own validation,
-    raise ConfigError("<section>: ...").
+    Keys and value types follow `mlp.json_fields`, as checkpoint headers do,
+    and `overrides` set fields whatever the section says.  Failures past the
+    section's presence and type, the class's own validation included, raise
+    ConfigError("<section>: ...").
     """
     if section not in cfg:
         raise ConfigError(f"config is missing the {section!r} section")
@@ -181,6 +165,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(str(v) if isinstance(v, int) else repr(float(v)) for v in row) + "\n")
 
 
+def _nonnegative(args, *flags) -> None:
+    for flag in flags:
+        if getattr(args, flag) < 0:
+            raise ConfigError(f"--{flag} must be nonnegative")
+
+
 def _read_samples_csv(path) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -188,7 +178,9 @@ def _read_samples_csv(path) -> np.ndarray:
             if not header or not header.split(",")[0].startswith("x"):
                 raise ConfigError(f"{path}: expected a sample CSV header like x0,x1,...")
             width = len(header.split(","))
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():  # a header-only file is the empty sample set
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read samples {path}: {exc}") from exc
     except ValueError as exc:
@@ -207,6 +199,7 @@ def _read_samples_csv(path) -> np.ndarray:
 
 
 def cmd_make_data(args) -> int:
+    _nonnegative(args, "n")
     cfg = _load_json(args.config)
     seed = {} if args.seed is None else {"seed": args.seed}
     spec = from_dict(DatasetSpec, cfg, "dataset", **seed)
@@ -267,10 +260,7 @@ def _score_field(params, model, loss_kind, manifold):
 
 
 def cmd_sample(args) -> int:
-    if args.n < 0:
-        raise ConfigError("--n must be nonnegative")
-    if args.seed < 0:
-        raise ConfigError("--seed must be nonnegative")
+    _nonnegative(args, "n", "seed")
     params, model, extras = load_checkpoint(args.checkpoint)
     for key in ("loss_kind", "manifold", "schedule"):
         if key not in extras:
@@ -359,8 +349,7 @@ def cmd_oracle_check(args) -> int:
             raise ValueError("radii and sigmas must be positive and finite")
         if args.n_mc < 2:
             raise ValueError("--n-mc must be at least 2")
-        if args.seed < 0:
-            raise ValueError("--seed must be nonnegative")
+        _nonnegative(args, "seed")
         manifold = ManifoldConfig(kind, n_coords=args.n_coords, n=args.n).build()
         direction = np.zeros(manifold.ambient_dim)
         direction[0] = 1.0

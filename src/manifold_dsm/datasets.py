@@ -1,16 +1,4 @@
-"""Synthetic targets (discrete rings, sphere mixtures) and lat/lon ingestion.
-
-Discrete targets live on equally spaced points of the unit circle, either
-uniform or with the skewed ring pmf p_i proportional to exp(-decay * d_i),
-d_i the circular index distance to the peak at floor(n/4).
-
-Sphere targets are von Mises-Fisher mixtures sampled exactly: Wood's
-rejection scheme for the cosine of the polar angle plus a uniform tangent
-direction, reflected so the pole maps to the requested mean.
-
-`load_latlon_csv` ingests "lat,lon" degree pairs onto the unit sphere and
-reports the 1-based line number of anything malformed.
-"""
+"""Synthetic targets (discrete rings, sphere mixtures) and lat/lon ingestion."""
 
 from __future__ import annotations
 
@@ -91,6 +79,8 @@ class DatasetSpec:
                     raise ValueError("component mean dimension does not match manifold_n")
         if self.kind == "latlon_file" and not self.path:
             raise ValueError("latlon_file needs a path")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 def circle_points(n_coords: int) -> np.ndarray:
@@ -163,9 +153,6 @@ def sample_vmf(mean, kappa: float, n: int, rng: np.random.Generator) -> np.ndarr
     if not 0.0 < kappa < np.inf:
         raise ValueError(f"kappa must be positive and finite, got {kappa}")
     p = mean.shape[0]
-    if n == 0:
-        return np.zeros((0, p))
-
     b = (-2.0 * kappa + np.sqrt(4.0 * kappa**2 + (p - 1.0) ** 2)) / (p - 1.0)
     x0 = (1.0 - b) / (1.0 + b)
     c = kappa * x0 + (p - 1.0) * np.log(1.0 - x0**2)

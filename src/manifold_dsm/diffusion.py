@@ -1,23 +1,11 @@
-"""Variance-exploding forward process, training targets, and reverse sampler.
+"""Variance-exploding forward process x_t = x0 + sigma eps, training targets,
+and reverse sampler.
 
-The forward process adds Gaussian noise of growing scale, x_t = x0 + sigma_t
-eps.  Training regresses a network against a residual target:
-
-* plain denoising (DSM): target (x0 - xt)/sigma, loss ||sigma f - target||^2;
-* base-score-adapted (MAD): the known uniform-measure score is subtracted, so
-  the network only learns the correction delta = s - s_base, with target
-  (x0 - xt)/sigma - sigma s_base(xt, sigma).
-
-Both residual targets are built here so the identity dsm - mad =
-sigma s_base holds arithmetically, not just in exact math.
-
-Sampling integrates the reverse SDE with predictor-only Euler-Maruyama over a
-descending geometric sigma grid, stepping x by (sigma_i^2 - sigma_{i+1}^2)
-score(x, sigma_i) plus matched noise; g^2 dt telescopes to sigma^2
-differences so no time variable appears anywhere.  The sampler returns the
-raw final state: measuring how far it lands from the manifold
-(`metrics.manifold_drift`) and snapping it onto the support
-(`geometry.project`) are left to the caller.
+The mad target is the dsm target less sigma times the known uniform-measure
+score, so the network learns only the correction s - s_base.  Both targets
+are built here so the identity dsm - mad = sigma s_base holds arithmetically,
+not just in exact math.  In the reverse sampler g^2 dt telescopes to sigma^2
+differences, so no time variable appears anywhere.
 """
 
 from __future__ import annotations
@@ -117,11 +105,8 @@ def reverse_sample(
                + sqrt(s_i^2 - s_{i+1}^2) eps.
 
     Noise is drawn as one (n, dim) block per step in sample order, and
-    score_field sees the whole batch once per step; the network walks that
-    batch in blocks of at most 512 rows on a grid fixed by n, spread over the
-    CPUs inside the call with bytes that do not depend on the CPU count, while
-    the base score takes it whole on the calling thread.  Returns the (n, dim)
-    final state.
+    score_field sees the whole batch once per step.  Returns the raw (n, dim)
+    final state, neither measured (`metrics.manifold_drift`) nor projected.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

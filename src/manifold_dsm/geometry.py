@@ -4,13 +4,6 @@ Quaternions are plain float64 arrays [w, x, y, z] with the scalar part first,
 Hamilton product convention.  A unit quaternion q and its antipode -q encode
 the same rotation (double cover), so rotation-valued comparisons always go
 through the absolute inner product.
-
-A symmetry group is built by a generator walk: starting from the identity,
-each listed element is multiplied by each generator once, and a product joins
-the list unless it matches an element up to sign (one fixed sign
-representative per element).  The list is closed when the walk reaches its
-end.  The identity is always element 0, which makes the lowest-index
-tie-break in `canonicalize` idempotent.
 """
 
 from __future__ import annotations

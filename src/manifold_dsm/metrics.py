@@ -1,17 +1,9 @@
 """Sample-quality metrics: MMD, orbit spread, manifold drift, discrete TV.
 
 Every metric returns a MetricReport carrying the number, an optional standard
-error, and the config needed to reproduce it (bandwidth, sample counts).
-Reports serialize to single text lines with a fixed field order so a metrics
-log diffs cleanly across runs.
-
-MMD uses the unbiased U-statistic with a Gaussian kernel on ambient Euclidean
-distance.  The bandwidth defaults to the median pairwise distance of the
-pooled batches (median heuristic); pools larger than 4096 rows are thinned by
-a deterministic stride before the median, and the effective bandwidth is
-recorded in the report.  The estimator can go negative on close batches, so
-the reported value is sqrt of the clamped estimate and the raw estimate is
-kept in the config.
+error, and the config needed to reproduce it.  Reports serialize to single
+text lines with a fixed field order so a metrics log diffs cleanly across
+runs.
 """
 
 from __future__ import annotations
@@ -115,8 +107,10 @@ def _kernel_sum(a: np.ndarray, b: np.ndarray, h: float) -> float:
 def mmd(x_batch, y_batch, bandwidth: float | None = None) -> MetricReport:
     """Unbiased Gaussian-kernel MMD between two sample batches.
 
-    Reports sqrt(max(MMD^2_u, 0)); the unclamped estimate and the bandwidth
-    land in the config.
+    Reports sqrt(max(MMD^2_u, 0)), as the estimate can go negative on close
+    batches; the unclamped estimate and the bandwidth land in the config.  The
+    bandwidth defaults to the median pairwise distance of the pooled batches
+    (median heuristic), over every k-th row of a pool past 4096 rows.
     """
     x = _rows(x_batch)
     y = _rows(y_batch)

@@ -1,16 +1,9 @@
 """Score/correction MLP with manual backprop, Adam, and checkpoint I/O.
 
-The network consumes [x || embed(sigma)] and outputs a vector field over the
-ambient space.  Two conditioning embeddings: append log(sigma) (default), or
-sin/cos features of log(sigma) at dyadic frequencies.  With `antisymmetrize`
-the forward pass returns (f(x, e) - f(-x, e))/2, which is exactly odd in x
-for every parameter value; the sigma embedding is never negated.
-
-Training regresses sigma * output against a residual target (see diffusion):
-loss = mean over rows of ||sigma f - target||^2, so at the optimum f is the
-score itself (dsm) or the correction to the base score (mad).  The final
-layer initializes to zero so a fresh mad model starts exactly at the base
-score.
+The network consumes [x || embed(sigma)], where embed is log(sigma) (default)
+or sin/cos features of log(sigma) at dyadic frequencies, and outputs a vector
+field over the ambient space.  The final layer initializes to zero so a fresh
+mad model starts exactly at the base score.
 """
 
 from __future__ import annotations
@@ -181,12 +174,7 @@ def _embed_sigma(config: MlpConfig, sigma: np.ndarray, n: int) -> np.ndarray:
 
 
 def _finite(z: np.ndarray) -> bool:
-    """Whether every entry of z is finite: a finite sum clears z in one pass
-    without a boolean temporary, and a sum that overflows on finite entries
-    falls through to the exact elementwise test."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = z.sum()
-    return bool(np.isfinite(total) or np.all(np.isfinite(z)))
+    return bool(np.isfinite(z).all())
 
 
 def _diverged(layer: int) -> TrainingDivergedError:
@@ -205,8 +193,10 @@ def _bounded(params: NetworkParams, *inputs: np.ndarray) -> bool:
     |silu(z)| <= |z|; the factor 2 covers the rounding of the float32 cast,
     the matmul and the bound itself.  Every a_i and every column sum below
     _BOUND, which float32 holds with room to spare, proves every weight and
-    every layer finite, the output layer's included.  nan or inf in the input,
-    weights that break the bound and the empty batch give False.
+    every layer finite, the output layer's included, in float32 and so in
+    float64.  nan or inf in the input, weights that break the bound and the
+    empty batch give False.  `forward` and `backward` check their layers for
+    nan or inf only where this gives False.
     """
     if any(h.size == 0 for h in inputs):
         return False
@@ -220,16 +210,19 @@ def _bounded(params: NetworkParams, *inputs: np.ndarray) -> bool:
     return bool(a < _BOUND)
 
 
-def _hidden_layers(params: _FlatLayers, silu: bool, h, zs, sgs, acts, check=True):
-    """Run the hidden layers from input h: layer i's matmul into zs[i], its
-    silu sigmoid into sgs[i] and its activation into acts[i], which may be
-    zs[i].  Returns the first layer with a non-finite entry, or None; with
-    `check` false no layer is tested and None is returned."""
-    for i, (w, b) in enumerate(zip(params.weights[:-1], params.biases)):
+def _layers(params: _FlatLayers, silu: bool, h, zs, sgs, acts, check=True):
+    """Run every layer from input h: layer i's matmul into zs[i] and, below
+    the output layer, its silu sigmoid into sgs[i] and its activation into
+    acts[i], which may be zs[i].  Returns the first layer with a non-finite
+    entry, or None; with `check` false no layer is tested and None is returned."""
+    last = len(params.weights) - 1
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = np.matmul(h, w, out=zs[i])
         z += b
         if check and not _finite(z):
             return i
+        if i == last:
+            return None
         if silu:  # z * sg with sg = 1/(1 + exp(-z))
             sg = np.negative(z, out=sgs[i])
             with np.errstate(over="ignore"):  # exp(-z) = inf gives silu's exact limit -0.0
@@ -239,51 +232,31 @@ def _hidden_layers(params: _FlatLayers, silu: bool, h, zs, sgs, acts, check=True
             h = np.multiply(z, sg, out=acts[i])
         else:
             h = np.maximum(z, 0.0, out=acts[i])
-    return None
 
 
-def _walk(params: _FlatLayers, silu: bool, h, zs, sgs, acts, out, check: bool, half: int):
-    """Run every layer on h, the hidden layers as `_hidden_layers` does and
-    the output layer from acts[-1] into out; h stacks the positive branch's
-    `half` rows over the negative branch's, if any.  Returns None, or the
-    (branch, layer) to name: the positive branch's first non-finite layer,
-    the output layer counting as the last, else the negative branch's, told
-    apart by walking the positive rows again, checked, only when a stacked
-    walk fails."""
-
-    def run(rows):  # the first `rows` rows of h: all of them, or the positive branch
-        layer = _hidden_layers(params, silu, h[:rows],
-                               *([b[:rows] for b in bufs] for bufs in (zs, sgs, acts)), check)
-        if layer is None:
-            z = np.matmul(acts[-1][:rows], params.weights[-1], out=out[:rows])
-            z += params.biases[-1]
-            layer = None if not check or _finite(z) else len(params.weights) - 1
-        return layer
-
-    layer = run(len(h))
+def _walk(params: _FlatLayers, silu: bool, h, zs, sgs, acts, check: bool, half: int):
+    """Run `_layers` on h, the positive branch's `half` rows over the negative
+    branch's, if any.  Returns None, or the (branch, layer) to name: the
+    positive branch's first non-finite layer, else the negative branch's,
+    told apart by a second walk of the positive rows."""
+    layer = _layers(params, silu, h, zs, sgs, acts, check)
     if layer is None or half == len(h):
         return None if layer is None else (0, layer)
-    top = run(half)
+    top = _layers(params, silu, h[:half], *([b[:half] for b in bufs] for bufs in (zs, sgs, acts)))
     return (1, layer) if top is None else (0, top)
 
 
 def _blocked_forward(params: _FlatLayers, config: MlpConfig, ws: SimpleNamespace,
                      check: bool, out: np.ndarray) -> None:
-    """Run the net on the input rows in ws.inputs into `out`, block by block.
+    """Run the net on the input rows in ws.inputs into `out`, one `_walk` per
+    block of `worker_blocks`' grid while the block's rows stay in cache.
 
-    The blocks are `worker_blocks`' grid, which depends on the row count
-    alone, and each worker walks its run of them, so the bytes do not depend
-    on the CPU count: OpenBLAS runs a GEMM of a few rows through other kernels
-    (GEMV for one row), and the narrow (hidden, dim) output GEMM's bytes
-    depend on its row count.  Each block makes one `_walk` through every
-    layer while its rows stay in cache, its hidden layers alternating between
-    the run's two block buffers, each silu sigmoid going into the one the
-    layer does not write.  With antisymmetrize the walk runs on the block's
-    rows stacked over their mirror [-x || embed] in the run's input buffer,
-    into its output buffer, and the block's rows of `out` become the top half
-    less the bottom half, halved: (f(x) - f(-x)) / 2; without, it runs on the
-    block's input rows into its rows of `out`.  With `check`, the error names
-    the positive branch's lowest failing layer over all blocks, else the
+    A GEMM's bytes depend on its row count (OpenBLAS runs a few rows through
+    other kernels, GEMV for one), so blocks that depend on the row count
+    alone keep the bytes independent of the CPU count.  With antisymmetrize
+    a block's rows are stacked over their mirror [-x || embed], and its rows
+    of `out` become (f(x) - f(-x)) / 2.  With `check`, the error names the
+    positive branch's lowest failing layer over all blocks, else the
     negative branch's, as full-batch passes per branch would.
     """
     layers = len(params.weights) - 1
@@ -300,9 +273,9 @@ def _blocked_forward(params: _FlatLayers, config: MlpConfig, ws: SimpleNamespace
                 h, dest = stack_in[: 2 * rows], stack_out[: 2 * rows]
                 h[:rows] = h[rows:] = ws.inputs[start:stop]
                 np.negative(h[rows:, :dim], out=h[rows:, :dim])
-            # layer i writes zs[i + 1] and its sigmoid into zs[i], its input if i > 0
+            # hidden layer i writes zs[i + 1] and its sigmoid into zs[i], its input if i > 0
             zs = [pair[(i + 1) % 2][: len(h)] for i in range(layers + 1)]
-            failed.append(_walk(params, silu, h, zs[1:], zs, zs[1:], dest, check, rows))
+            failed.append(_walk(params, silu, h, zs[1:] + [dest], zs, zs[1:], check, rows))
             if stack_in is not None and failed[-1] is None:
                 np.subtract(dest[:rows], dest[rows:], out=out[start:stop])
                 out[start:stop] *= 0.5
@@ -315,14 +288,9 @@ def _blocked_forward(params: _FlatLayers, config: MlpConfig, ws: SimpleNamespace
 
 def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     """Network output for a batch, as a fresh float64 array; odd in x when
-    antisymmetrize is set.
-
-    The net runs in float32 in the calling thread's `_forward_workspace`: each
-    call copies the parameters into its float32 copy, so weights edited in
-    place are seen, and runs `_blocked_forward` on [x || embed(sigma)].
-    Layers are checked for non-finite values only when `_bounded` cannot
-    rule them out; an input or weight past float32's range becomes inf, and
-    its layer is named.
+    antisymmetrize is set.  The net runs in float32 on a copy of the
+    parameters taken at each call, so weights edited in place are seen; an
+    input or weight past float32's range becomes inf, and its layer is named.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != config.input_dim:
@@ -359,12 +327,10 @@ def drop_workspace() -> None:
 
 
 def _forward_workspace(config: MlpConfig, n: int) -> SimpleNamespace:
-    """float32 buffers for a forward pass on n rows: the parameter copy, the
-    assembled input, and per worker run of blocks (`worker_blocks`) the run's
-    blocks, its two hidden block buffers and, with antisymmetrize, its
-    stacked block input and output (else None).  Each block buffer holds one
-    block's rows, twice over with antisymmetrize.  The caller owns every run's
-    buffers, so pool threads keep none."""
+    """float32 buffers for a forward on n rows: the parameter copy, the
+    assembled input, and per run of `worker_blocks` the run's blocks, two
+    hidden block buffers and, with antisymmetrize, the stacked block input and
+    output (else None), all owned by the caller, so pool threads keep none."""
     runs = worker_blocks(n)
     shapes = config.layer_shapes()
     width = config.input_dim + config.embed_dim
@@ -385,8 +351,7 @@ def _forward_workspace(config: MlpConfig, n: int) -> SimpleNamespace:
 
 def _workspace(config: MlpConfig, rows: int) -> SimpleNamespace:
     """The calling thread's workspace for a training step on a stacked input
-    of `rows` rows (2n with antisymmetrize), rebuilt when the layer shapes,
-    the row count or the activation change."""
+    of `rows` rows (2n with antisymmetrize)."""
     shapes = config.layer_shapes()
     silu = config.activation == "silu"
 
@@ -409,18 +374,15 @@ def _workspace(config: MlpConfig, rows: int) -> SimpleNamespace:
 def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma):
     """Loss mean ||sigma f - target||^2 over rows, and its parameter gradients.
 
-    One pass on the calling thread, in its `_workspace`: one float64 `_walk`
-    runs every layer on [x || embed], stacked over [-x || embed] with
-    antisymmetrize, and the loss and its output gradient g are float64.  From
-    g, stacked over -g and halved with antisymmetrize, and from the last layer
-    down, in float32 on casts of the weights, of g and of the layer's input
-    post, each half's post.T @ g and g.sum(axis=0), positive half first, add
-    into a zeroed float64 vector, and g becomes the input gradient
-    (g @ W.T) * act' over all rows.  Summing per half rounds as a pass per
-    branch does and keeps an odd net's output bias gradient exactly 0.  A
-    product past float32's range gives inf or nan quietly, and a non-finite
-    gradient.  The gradient vector is fresh, so nothing returned aliases the
-    workspace.
+    One float64 `_walk` on [x || embed], stacked over [-x || embed] with
+    antisymmetrize, gives the loss and its output gradient g.  From g,
+    stacked over -g and halved with antisymmetrize, each layer from the last
+    down adds each half's post.T @ g and g.sum(axis=0), positive half first,
+    taken in float32 on casts of the weights, g and the layer's input post,
+    into a fresh float64 vector, and g becomes (g @ W.T) * act'.  Summing per
+    half rounds as a pass per branch does and keeps an odd net's output bias
+    gradient exactly 0.  A product past float32's range makes the gradient
+    non-finite quietly.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = np.atleast_2d(np.asarray(residual_target, dtype=np.float64))
@@ -438,7 +400,7 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     if config.antisymmetrize:
         h[n:, :dim], h[n:, dim:] = -x, emb
     silu = config.activation == "silu"
-    failed = _walk(params, silu, h, ws.zs, ws.sgs, ws.acts, ws.zs[-1], True, n)
+    failed = _walk(params, silu, h, ws.zs, ws.sgs, ws.acts, not _bounded(params, x, emb), n)
     if failed is not None:
         raise _diverged(failed[1])
     out = ws.zs[-1][:n]
@@ -538,8 +500,8 @@ def train(
     uniformly over the schedule's discrete levels, perturb, regress against
     the dsm or mad residual target.  Returns (params, per-step loss array).
 
-    Steps reuse the thread's backward workspace (see `backward`), which is
-    dropped however training ends, so none of it outlives the call.
+    Steps share the calling thread's `_workspace`, dropped however training
+    ends.
     """
     from .diffusion import dsm_target, mad_target, perturb
 

@@ -1,23 +1,9 @@
-"""The sampling forward's grid of row blocks, one run of blocks per CPU, and
-the thread pool that runs them.
+"""The sampling forward's grid of row blocks, one run of blocks per CPU, the
+thread pool that runs them, and the one OpenBLAS thread set at import (see
+README).
 
-The sampler evaluates its score field on every sample at once, 10k rows and
-more.  Its forward cuts the rows into a grid of near-equal blocks of at most
-BLOCK_ROWS rows that depends on the row count alone, and `worker_blocks` deals
-each CPU the process may use one contiguous run of whole blocks.
-`split_rows` is the one near-equal cut behind the grid and the runs, and
-`map_shards` runs one function per run.  The tests compare the forward's
-blocks byte for byte with a reference pass per block of the same grid.
-
-The calling thread takes the first run and a pool, created on first use, the
-others.  Pool threads work in a copy of the caller's `contextvars` context,
-so `np.errstate` set by the caller holds there too.
-
-Importing this module sets numpy's bundled OpenBLAS to one thread, so its own
-threads never compete with the pool's for the same CPUs, and the training
-step, which runs on the calling thread, runs every batch size on one thread.
-A thread count set in the environment wins, and a BLAS this does not
-recognise is left alone.
+Pool threads work in a copy of the caller's `contextvars` context, so
+`np.errstate` set by the caller holds there too.
 """
 
 from __future__ import annotations
@@ -58,6 +44,7 @@ if hasattr(os, "register_at_fork"):
 
 
 def _one_blas_thread() -> None:
+    # OpenBLAS's own threads would compete with the pool's for the same CPUs
     if not {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
         try:  # numpy's extension module resolves the symbols of the BLAS it links
             ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_(1)

@@ -570,6 +570,20 @@ def test_mc_oracle_refuses_low_effective_sample_size():
         mc_score_oracle(np.array([0.0, 0.0, 1.0]), 0.01, Sphere(2), 20_000, np.random.default_rng(1))
 
 
+def test_mc_oracle_refuses_weights_whose_squares_underflow():
+    # both draws lie far enough past the shift that each weight is ~1.5e-162
+    # and its square underflows to 0, which leaves nothing to form the ESS
+    # and the standard error from
+    x, sigma, seed = np.array([0.3, -0.4, 1.1]), 0.0335035, 12282
+    g = np.random.default_rng(seed).standard_normal((2, 3))
+    x0 = g / np.linalg.norm(g, axis=1, keepdims=True)
+    w = np.exp(((np.linalg.norm(x) - 1.0) ** 2 - np.sum((x - x0) ** 2, axis=1)) / (2 * sigma**2))
+    assert 1e-300 < w.max() < 1e-160
+    assert np.all(w * w == 0.0)
+    with pytest.raises(UnreliableEstimateError, match="effective sample size 0.0 < 100"):
+        mc_score_oracle(x, sigma, Sphere(2), 2, np.random.default_rng(seed))
+
+
 def test_mc_oracle_is_deterministic_and_validates_input():
     x = np.array([0.9, 0.0, 0.0, 0.0])
     a = mc_score_oracle(x, 0.4, Sphere(3), 200_000, np.random.default_rng(5))

@@ -84,6 +84,21 @@ def test_make_data_seed_flag_overrides_config(tmp_path):
     assert json.loads((c / "make-data.config.json").read_text())["dataset"]["seed"] == 8
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n", "-1"], "--n must be nonnegative"),
+        (["--n", "4", "--seed", "-1"], "dataset: seed must be nonnegative"),
+    ],
+)
+def test_make_data_rejects_bad_sizes(tmp_path, capsys, flags, message):
+    cfg = write_config(tmp_path)
+    rc = main(["make-data", "--config", str(cfg), *flags, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "o" / "data.csv").exists()
+
+
 def test_make_data_latlon_error_reports_line(tmp_path, capsys):
     csv = tmp_path / "pts.csv"
     csv.write_text("lat,lon\n10,20\n95,30\n")
@@ -279,6 +294,7 @@ def test_train_reruns_from_its_own_record(tmp_path):
         ("training", 3, "the 'training' section must be a JSON object, got 3"),
         ("schedule", [], "the 'schedule' section must be a JSON object, got []"),
         ("manifold", None, "the 'manifold' section must be a JSON object, got null"),
+        ("dataset", {"seed": -1}, "dataset: seed must be nonnegative"),
     ],
 )
 def test_train_rejects_bad_config_values(tmp_path, capsys, time_limit, section, value, message):
@@ -737,6 +753,21 @@ def test_eval_rejects_non_finite_sample_rows(tmp_path, capsys, metric, bad_row):
     assert captured.err == f"error: {path}: sample row 2 holds a non-finite value\n"
     assert captured.out == ""
     assert not (tmp_path / "o" / "metrics.log").exists()
+
+
+def test_eval_on_a_header_only_sample_file(tmp_path, capsys):
+    # what `mdsm sample --n 0` writes: the empty sample set, read without warnings
+    path = tmp_path / "samples.csv"
+    path.write_text("x0,x1\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval", "tv", "--kind", "discrete_uniform", "--samples", str(path),
+                     "--out", str(out)]) == 0
+        assert "value=0.5 " in capsys.readouterr().out
+        assert main(["eval", "drift", "--samples", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: manifold_drift needs at least one sample\n"
+    assert caught == []
 
 
 def test_eval_appends_to_shared_log(tmp_path):

@@ -783,11 +783,11 @@ def test_forward_blocks_hold_half_a_block_to_a_block(monkeypatch, workers):
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
     walked = []
 
-    def spy(params, silu, h, *rest, _real=mlp._hidden_layers):
+    def spy(params, silu, h, *rest, _real=mlp._layers):
         walked.append(h.shape[0])
         return _real(params, silu, h, *rest)
 
-    monkeypatch.setattr(mlp, "_hidden_layers", spy)
+    monkeypatch.setattr(mlp, "_layers", spy)
     for antisym in (False, True):
         cfg = tiny_config(hidden_dim=8, antisymmetrize=antisym)
         params = randomized_params(cfg, 44)
@@ -976,6 +976,13 @@ def test_bounded_forward_checks_no_layer(monkeypatch, config):
     want = ref_forward(params, config, x, 0.3).tobytes()
     calls = finite_calls(monkeypatch)
     assert forward_bytes_by_workers(monkeypatch, params, config, x, 0.3) == [want] * 4
+    assert calls == []
+    # backward at the training batch sizes: the float32 bound holds in float64
+    rows = 512 if config is RING_RELU128 else 128
+    sig = np.exp(np.random.default_rng(48).uniform(-9.0, 1.0, rows))
+    target = np.random.default_rng(49).standard_normal((rows, config.input_dim))
+    want = ref_backward(params, config, x[:rows], target, sig)
+    assert_same_loss_and_grads(backward(params, config, x[:rows], target, sig), want)
     assert calls == []
 
 
