@@ -107,6 +107,7 @@ def reverse_sample(
     Noise is drawn as one (n, dim) block per step in sample order, and
     score_field sees the whole batch once per step.  Returns the raw (n, dim)
     final state, neither measured (`metrics.manifold_drift`) nor projected.
+    A score shaped unlike x raises ValueError, a non-finite one TrainingDivergedError.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -116,10 +117,10 @@ def reverse_sample(
     if n > 0:
         for i in range(schedule.num_scales - 1):
             sc = np.asarray(score_field(x, float(s[i])), dtype=np.float64)
-            if sc.shape != x.shape or not np.all(np.isfinite(sc)):
-                bad = 0.0 if sc.shape != x.shape else float(
-                    np.linalg.norm(x[~np.all(np.isfinite(sc), axis=1)][0])
-                )
+            if sc.shape != x.shape:
+                raise ValueError(f"score of shape {sc.shape} for a state of shape {x.shape}")
+            if not np.all(np.isfinite(sc)):
+                bad = float(np.linalg.norm(x[~np.all(np.isfinite(sc), axis=1)][0]))
                 raise TrainingDivergedError(
                     f"non-finite score at sigma={s[i]:g} (state norm {bad:g})",
                     sigma=float(s[i]),

@@ -190,13 +190,14 @@ def _bounded(params: NetworkParams, *inputs: np.ndarray) -> bool:
 
     With a_0 = max |input| and a_{i+1} = 2 (a_i max_j sum_k |W_kj| + max_j |b_j|),
     a_{i+1} bounds layer i's matmul output, since |relu(z)| <= |z| and
-    |silu(z)| <= |z|; the factor 2 covers the rounding of the float32 cast,
-    the matmul and the bound itself.  Every a_i and every column sum below
-    _BOUND, which float32 holds with room to spare, proves every weight and
-    every layer finite, the output layer's included, in float32 and so in
-    float64.  nan or inf in the input, weights that break the bound and the
-    empty batch give False.  `forward` and `backward` check their layers for
-    nan or inf only where this gives False.
+    |silu(z)| = |z/2| (1 + tanh(z/2)) <= |z|, which rounding keeps because
+    0 <= 1 + tanh <= 2 holds exactly; the factor 2 covers the rounding of the
+    float32 cast, the matmul and the bound itself.  Every a_i and every
+    column sum below _BOUND, which float32 holds with room to spare, proves
+    every weight and every layer finite, the output layer's included, in
+    float32 and so in float64.  nan or inf in the input, weights that break
+    the bound and the empty batch give False.  `forward` and `backward` check
+    their layers for nan or inf only where this gives False.
     """
     if any(h.size == 0 for h in inputs):
         return False
@@ -212,9 +213,9 @@ def _bounded(params: NetworkParams, *inputs: np.ndarray) -> bool:
 
 def _layers(params: _FlatLayers, silu: bool, h, zs, sgs, acts, check=True):
     """Run every layer from input h: layer i's matmul into zs[i] and, below
-    the output layer, its silu sigmoid into sgs[i] and its activation into
-    acts[i], which may be zs[i].  Returns the first layer with a non-finite
-    entry, or None; with `check` false no layer is tested and None is returned."""
+    the output layer, silu's 1 + tanh(z/2) into sgs[i] and its activation
+    into acts[i], which may be zs[i].  Returns the first layer with a
+    non-finite entry, or None, as it does untested with `check` false."""
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = np.matmul(h, w, out=zs[i])
@@ -223,13 +224,11 @@ def _layers(params: _FlatLayers, silu: bool, h, zs, sgs, acts, check=True):
             return i
         if i == last:
             return None
-        if silu:  # z * sg with sg = 1/(1 + exp(-z))
-            sg = np.negative(z, out=sgs[i])
-            with np.errstate(over="ignore"):  # exp(-z) = inf gives silu's exact limit -0.0
-                np.exp(sg, out=sg)
+        if silu:  # (z/2) * sg with sg = 1 + tanh(z/2) = 2 sigmoid(z)
+            h = np.multiply(z, 0.5, out=acts[i])
+            sg = np.tanh(h, out=sgs[i])
             sg += 1.0
-            np.divide(1.0, sg, out=sg)
-            h = np.multiply(z, sg, out=acts[i])
+            h *= sg
         else:
             h = np.maximum(z, 0.0, out=acts[i])
 
@@ -273,7 +272,7 @@ def _blocked_forward(params: _FlatLayers, config: MlpConfig, ws: SimpleNamespace
                 h, dest = stack_in[: 2 * rows], stack_out[: 2 * rows]
                 h[:rows] = h[rows:] = ws.inputs[start:stop]
                 np.negative(h[rows:, :dim], out=h[rows:, :dim])
-            # hidden layer i writes zs[i + 1] and its sigmoid into zs[i], its input if i > 0
+            # hidden layer i writes zs[i + 1] and 1 + tanh(z/2) into zs[i], its input if i > 0
             zs = [pair[(i + 1) % 2][: len(h)] for i in range(layers + 1)]
             failed.append(_walk(params, silu, h, zs[1:] + [dest], zs, zs[1:], check, rows))
             if stack_in is not None and failed[-1] is None:
@@ -424,12 +423,11 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
                 grads.biases[i] += g[rows].sum(axis=0)
             if i:
                 g = np.matmul(g, w[i].T, out=ws.ups[i - 1])
-                if silu:  # silu'(z) = sg * (1 + z * (1 - sg)), in float64 over act
-                    a = np.subtract(1.0, ws.sgs[i - 1], out=ws.acts[i - 1])
-                    a *= ws.zs[i - 1]
+                if silu:  # silu'(z) = (sg/2) (1 + z - silu(z)), in float64 over act
+                    a = np.subtract(ws.zs[i - 1], ws.acts[i - 1], out=ws.acts[i - 1])
                     a += 1.0
                     a *= ws.sgs[i - 1]
-                    post[:] = a
+                    np.multiply(a, 0.5, out=post)
                 else:  # relu's output is > 0 exactly where its input is
                     np.greater(ws.acts[i - 1], 0.0, out=post)
                 g *= post

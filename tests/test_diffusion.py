@@ -258,3 +258,11 @@ def test_reverse_sample_aborts_on_non_finite_score():
         reverse_sample(bad_field, sch, 8, Sphere(2), np.random.default_rng(0))
     assert info.value.sigma is not None and info.value.sigma < 1.0
     assert info.value.state_norm is not None
+
+
+def test_reverse_sample_rejects_a_wrongly_shaped_score():
+    # a (n, 3) field on S^3 is a caller's error, not a non-finite score
+    sch = NoiseSchedule.geometric(1e-3, 2.0, 10)
+    with pytest.raises(ValueError, match=r"score of shape \(8, 3\) for a state of shape \(8, 4\)"):
+        reverse_sample(lambda x, s: np.zeros((len(x), 3)), sch, 8, Sphere(3),
+                       np.random.default_rng(0))

@@ -11,6 +11,7 @@ import types
 import warnings
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -254,15 +255,16 @@ def test_finite_layer_with_overflowing_sum_passes_silently():
 def ref_act(kind, z):
     if kind == "relu":
         return np.maximum(z, 0.0)
-    sg = 1.0 / (1.0 + np.exp(-z))
-    return z * sg
+    h = z * 0.5
+    return h * (np.tanh(h) + 1.0)
 
 
 def ref_act_grad(kind, z):
     if kind == "relu":
         return (z > 0.0).astype(np.float64)
-    sg = 1.0 / (1.0 + np.exp(-z))
-    return sg * (1.0 + z * (1.0 - sg))
+    h = z * 0.5
+    sg = np.tanh(h) + 1.0
+    return (z - h * sg + 1.0) * sg * 0.5
 
 
 def ref_plain_forward(params, config, h, keep):
@@ -1060,28 +1062,97 @@ def test_forward_past_float32_range_names_the_first_nonfinite_layer(case, antisy
     assert not [w for w in caught if "cast" in str(w.message)]
 
 
-def test_silu_exp_overflow_is_silent():
-    # silu's exp(-z) overflows below z = -88.7 in float32 (the forward) and
-    # below -709.8 in float64 (backward); the limit there, -0.0, is exact
+def module_silu(z):
+    """silu of the 1-d array z as `mlp._layers` computes it, in z's dtype:
+    a hidden layer of one unit with weight 1 and bias 0, so its matmul is z."""
+    layers = mlp._FlatLayers(np.zeros(4, dtype=z.dtype), [(1, 1), (1, 1)])
+    layers.weights[0][:] = 1.0
+    h = z[:, None]
+    zs, sgs, acts = [np.empty_like(h), np.empty_like(h)], [np.empty_like(h)], [np.empty_like(h)]
+    assert mlp._layers(layers, True, h, zs, sgs, acts) is None
+    return acts[0][:, 0]
+
+
+def module_silu_grad(z):
+    """silu'(z) in float64 as `backward` forms it, before its float32 cast:
+    one hidden unit fed by x alone, whose act buffer then holds 2 silu'(z)."""
+    cfg = MlpConfig(input_dim=1, hidden_dim=1, num_hidden_layers=1, activation="silu")
+    params = init_params(cfg, np.random.default_rng(0))
+    params.weights[0][:] = [[1.0], [0.0]]
+    params.biases[0][:] = 0.0
+    backward(params, cfg, z[:, None], np.zeros((len(z), 1)), 1.0)
+    ws = mlp._workspaces.ws
+    assert np.array_equal(ws.zs[0][:, 0], z)
+    return ws.acts[0][:, 0] * 0.5
+
+
+def exact_silu(z, grad=False):
+    """silu(z) or silu'(z) from mpmath at 40 digits, rounded to float64."""
+    with mpmath.workdps(40):
+        out = []
+        for v in map(mpmath.mpf, np.asarray(z, dtype=np.float64).tolist()):
+            sg = 1 / (1 + mpmath.exp(-v))
+            out.append(float(sg * (1 + v * (1 - sg)) if grad else v * sg))
+    return np.array(out)
+
+
+SILU_GRID = np.concatenate([
+    np.linspace(-200.0, 200.0, 8001),
+    np.geomspace(1e-30, 200.0, 2001),
+    -np.geomspace(1e-30, 200.0, 2001),
+    np.random.default_rng(70).uniform(-200.0, 200.0, 2000),
+    [0.0, -0.0],
+])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_silu_matches_mpmath_to_two_eps_absolute(dtype):
+    # |silu(z) - exact| <= 2 eps (1 + |z|) over [-200, 200] (measured: 0.38 of
+    # the bound in float32, 0.48 in float64).  The bound is absolute, not
+    # relative: in the far negative tail 1 + tanh(z/2) cancels, so silu keeps
+    # no relative accuracy where it is tiny; what the next layer sees is the
+    # absolute error, and that is what the bound holds
+    z = SILU_GRID.astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = module_silu(z)
+    assert got.dtype == dtype
+    bound = 2.0 * np.finfo(dtype).eps * (1.0 + np.abs(z.astype(np.float64)))
+    assert np.all(np.abs(got.astype(np.float64) - exact_silu(z)) <= bound)
+
+
+def test_silu_derivative_matches_mpmath_to_two_eps_absolute():
+    # the float64 silu'(z) = (sg/2) (1 + z - silu(z)); measured: 0.37 of the bound
+    z = SILU_GRID
+    got = module_silu_grad(z)
+    bound = 2.0 * np.finfo(np.float64).eps * (1.0 + np.abs(z))
+    assert np.all(np.abs(got - exact_silu(z, grad=True)) <= bound)
+
+
+def test_silu_tails_are_silent_and_reach_silus_limits():
+    # 1 + tanh(z/2) is exactly 0 far below zero and exactly 2 far above it,
+    # so silu is -0.0 and z there, and silu' is -0.0 and 1, with no warning
+    tails = {np.float32: 200.0, np.float64: 1600.0}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for dtype, far in tails.items():
+            got = module_silu(np.array([-far, far], dtype=dtype))
+            assert got[0] == 0.0 and np.signbit(got[0]) and got[1] == far
+        grad = module_silu_grad(np.array([-1600.0, 1600.0]))
+    assert grad[0] == 0.0 and np.signbit(grad[0]) and grad[1] == 1.0
+    # the whole net agrees bit for bit with the reference in those tails
     cfg = tiny_config(activation="silu")
     params = randomized_params(cfg, 63)
     rng = np.random.default_rng(64)
     x = rng.standard_normal((16, 2))
     target = rng.standard_normal((16, 2))
-    params.biases[0][:] = -100.0
-    with np.errstate(over="ignore"):
-        want = ref_forward(params, cfg, x, 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = forward(params, cfg, x, 0.5)
-    assert_same_bits(got, want)
-    params.biases[0][:] = -800.0
-    with np.errstate(over="ignore"):
-        want = ref_backward(params, cfg, x, target, 0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = backward(params, cfg, x, target, 0.5)
-    assert_same_loss_and_grads(got, want)
+        params.biases[0][:] = -200.0
+        assert_same_bits(forward(params, cfg, x, 0.5), ref_forward(params, cfg, x, 0.5))
+        params.biases[0][:] = -1600.0
+        assert_same_loss_and_grads(backward(params, cfg, x, target, 0.5),
+                                   ref_backward(params, cfg, x, target, 0.5))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
