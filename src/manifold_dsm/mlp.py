@@ -233,16 +233,22 @@ def _layers(params: _FlatLayers, silu: bool, h, zs, sgs, acts, check=True):
             h = np.maximum(z, 0.0, out=acts[i])
 
 
-def _walk(params: _FlatLayers, silu: bool, h, zs, sgs, acts, check: bool, half: int):
-    """Run `_layers` on h, the positive branch's `half` rows over the negative
-    branch's, if any.  Returns None, or the (branch, layer) to name: the
-    positive branch's first non-finite layer, else the negative branch's,
-    told apart by a second walk of the positive rows."""
-    layer = _layers(params, silu, h, zs, sgs, acts, check)
-    if layer is None or half == len(h):
-        return None if layer is None else (0, layer)
-    top = _layers(params, silu, h[:half], *([b[:half] for b in bufs] for bufs in (zs, sgs, acts)))
-    return (1, layer) if top is None else (0, top)
+def _walk(params: _FlatLayers, config: MlpConfig, h, zs, sgs, acts, dest, check: bool):
+    """Run the net by `_layers` into zs on h, whose first len(dest) rows hold
+    [x || embed]; without antisymmetrize zs[-1] is dest.  With it, the odd
+    net: h's next len(dest) rows take the mirror [-x || embed], one walk
+    runs over both halves, and if it fails at no layer, dest gets
+    (top - bottom) / 2 of zs[-1].  Returns the walk's first non-finite
+    layer, or None."""
+    rows = len(dest)
+    if config.antisymmetrize:
+        h[rows:] = h[:rows]
+        np.negative(h[rows:, : config.input_dim], out=h[rows:, : config.input_dim])
+    layer = _layers(params, config.activation == "silu", h, zs, sgs, acts, check)
+    if layer is None and config.antisymmetrize:
+        np.subtract(zs[-1][:rows], zs[-1][rows:], out=dest)
+        dest *= 0.5
+    return layer
 
 
 def _blocked_forward(params: _FlatLayers, config: MlpConfig, ws: SimpleNamespace,
@@ -253,43 +259,38 @@ def _blocked_forward(params: _FlatLayers, config: MlpConfig, ws: SimpleNamespace
     A GEMM's bytes depend on its row count (OpenBLAS runs a few rows through
     other kernels, GEMV for one), so blocks that depend on the row count
     alone keep the bytes independent of the CPU count.  With antisymmetrize
-    a block's rows are stacked over their mirror [-x || embed], and its rows
-    of `out` become (f(x) - f(-x)) / 2.  With `check`, the error names the
-    positive branch's lowest failing layer over all blocks, else the
-    negative branch's, as full-batch passes per branch would.
+    a block's rows are copied into the stacked block input, over which
+    `_walk` builds the odd net.  With `check`, the error names the lowest
+    failing layer over all blocks.
     """
     layers = len(params.weights) - 1
-    silu = config.activation == "silu"
-    dim = config.input_dim
 
-    def run_blocks(shard):  # per block of the run: its failing (branch, layer) or None
+    def run_blocks(shard):  # per block of the run: its first non-finite layer, or None
         blocks, pair, stack_in, stack_out = shard
         failed = []
         for start, stop in blocks:
             rows = stop - start
             h, dest = ws.inputs[start:stop], out[start:stop]
+            top = dest  # the output layer's rows: dest itself, or the stacked block output
             if stack_in is not None:
-                h, dest = stack_in[: 2 * rows], stack_out[: 2 * rows]
-                h[:rows] = h[rows:] = ws.inputs[start:stop]
-                np.negative(h[rows:, :dim], out=h[rows:, :dim])
+                h, top = stack_in[: 2 * rows], stack_out[: 2 * rows]
+                h[:rows] = ws.inputs[start:stop]
             # hidden layer i writes zs[i + 1] and 1 + tanh(z/2) into zs[i], its input if i > 0
             zs = [pair[(i + 1) % 2][: len(h)] for i in range(layers + 1)]
-            failed.append(_walk(params, silu, h, zs[1:] + [dest], zs, zs[1:], check, rows))
-            if stack_in is not None and failed[-1] is None:
-                np.subtract(dest[:rows], dest[rows:], out=out[start:stop])
-                out[start:stop] *= 0.5
+            failed.append(_walk(params, config, h, zs[1:] + [top], zs, zs[1:], dest, check))
         return failed
 
     failed = [f for run in map_shards(run_blocks, ws.shards) for f in run if f is not None]
     if failed:
-        raise _diverged(min(failed)[1])
+        raise _diverged(min(failed))
 
 
 def forward(params: NetworkParams, config: MlpConfig, x, sigma) -> np.ndarray:
     """Network output for a batch, as a fresh float64 array; odd in x when
     antisymmetrize is set.  The net runs in float32 on a copy of the
     parameters taken at each call, so weights edited in place are seen; an
-    input or weight past float32's range becomes inf, and its layer is named.
+    input or weight past float32's range becomes inf, and the lowest
+    non-finite layer over all blocks is named.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != config.input_dim:
@@ -374,14 +375,14 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     """Loss mean ||sigma f - target||^2 over rows, and its parameter gradients.
 
     One float64 `_walk` on [x || embed], stacked over [-x || embed] with
-    antisymmetrize, gives the loss and its output gradient g.  From g,
-    stacked over -g and halved with antisymmetrize, each layer from the last
-    down adds each half's post.T @ g and g.sum(axis=0), positive half first,
-    taken in float32 on casts of the weights, g and the layer's input post,
-    into a fresh float64 vector, and g becomes (g @ W.T) * act'.  Summing per
-    half rounds as a pass per branch does and keeps an odd net's output bias
-    gradient exactly 0.  A product past float32's range makes the gradient
-    non-finite quietly.
+    antisymmetrize, gives the loss and its output gradient g, or the first
+    non-finite layer to name.  From g, stacked over -g and halved with
+    antisymmetrize, each layer from the last down adds each half's post.T @ g
+    and g.sum(axis=0), positive half first, taken in float32 on casts of the
+    weights, g and the layer's input post, into a fresh float64 vector, and g
+    becomes (g @ W.T) * act'.  Summing per half rounds as a pass per branch
+    does and keeps an odd net's output bias gradient exactly 0.  A product
+    past float32's range makes the gradient non-finite quietly.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     t = np.atleast_2d(np.asarray(residual_target, dtype=np.float64))
@@ -396,22 +397,17 @@ def backward(params: NetworkParams, config: MlpConfig, x, residual_target, sigma
     ws = _workspace(config, len(scales) * n)
     h = ws.input
     h[:n, :dim], h[:n, dim:] = x, emb
-    if config.antisymmetrize:
-        h[n:, :dim], h[n:, dim:] = -x, emb
-    silu = config.activation == "silu"
-    failed = _walk(params, silu, h, ws.zs, ws.sgs, ws.acts, not _bounded(params, x, emb), n)
-    if failed is not None:
-        raise _diverged(failed[1])
     out = ws.zs[-1][:n]
-    if config.antisymmetrize:
-        out -= ws.zs[-1][n:]
-        out *= 0.5
+    failed = _walk(params, config, h, ws.zs, ws.sgs, ws.acts, out, not _bounded(params, x, emb))
+    if failed is not None:
+        raise _diverged(failed)
 
     resid = sig * out - t
     loss = float(np.mean(np.sum(resid * resid, axis=1)))
     d_out = 2.0 * sig * resid / n
     grads = NetworkGrads(np.zeros_like(params.flat), params.shapes)
     w = ws.params.weights
+    silu = config.activation == "silu"
     with np.errstate(over="ignore", invalid="ignore"):  # past float32's range: inf or nan
         ws.params.flat[:] = params.flat
         g = np.concatenate([d_out * scale for scale in scales], dtype=np.float32)

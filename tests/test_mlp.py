@@ -325,16 +325,9 @@ def ref_inputs32(params, config, x, sigma):
 def ref_forward(params, config, x, sigma):
     """The forward's reference: `ref_blocks` in float32, from the float32-cast
     parameters and [x || embed], stacked per block over [-x || embed] with
-    antisymmetrize.  A failing stacked pass raises what
-    `ref_forward_branches` raises, so the positive branch is named first.
-    Returns float64."""
+    antisymmetrize.  Returns float64."""
     p32, pos, neg = ref_inputs32(params, config, x, sigma)
-    try:
-        out = ref_blocks(p32, config, pos, neg if config.antisymmetrize else None)
-    except TrainingDivergedError:
-        ref_forward_branches(params, config, x, sigma)  # a failing positive branch is named
-        raise
-    return out.astype(np.float64)
+    return ref_blocks(p32, config, pos, neg if config.antisymmetrize else None).astype(np.float64)
 
 
 def ref_forward_branches(params, config, x, sigma):
@@ -365,8 +358,8 @@ def ref_backprop_branch(params, config, pre, post, upstream, grads, dtype):
 
 def ref_backward(params, config, x, residual_target, sigma, dtype=np.float32):
     """The backward's reference: one float64 forward on [x || embed], stacked
-    over [-x || embed] with antisymmetrize (a failure names the positive
-    branch's layer first), the loss and output gradient g, then products in
+    over [-x || embed] with antisymmetrize (a failure names its first
+    non-finite layer), the loss and output gradient g, then products in
     dtype from g, stacked over -g and halved with antisymmetrize, with each
     layer's weight product and bias sum taken per half, positive half first.
     float64 gives the all-float64 backward that the float32 products
@@ -379,11 +372,7 @@ def ref_backward(params, config, x, residual_target, sigma, dtype=np.float32):
     pos = np.concatenate([x, emb], axis=1)
     scales = (0.5, -0.5) if config.antisymmetrize else (1.0,)
     h = np.concatenate([pos, np.concatenate([-x, emb], axis=1)]) if config.antisymmetrize else pos
-    try:
-        out, pre, post = ref_plain_forward(params, config, h, keep=True)
-    except TrainingDivergedError:
-        ref_plain_forward(params, config, pos, keep=False)  # a failing positive branch is named
-        raise
+    out, pre, post = ref_plain_forward(params, config, h, keep=True)
     if config.antisymmetrize:
         out = 0.5 * (out[:n] - out[n:])
     resid = sig * out - t
@@ -878,9 +867,10 @@ def test_blocked_forward_reports_the_lowest_failing_layer(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_forward_names_the_positive_branch_before_the_negative(monkeypatch, workers):
+def test_forward_names_the_lowest_failing_layer_of_either_branch(monkeypatch, workers):
     # last block: +x reaches -inf at layer 2; first block: only -x overflows,
-    # at layer 0, through the sigma embedding's weight, which -x does not negate
+    # at layer 0, through the sigma embedding's weight, which -x does not
+    # negate; the lower layer is named, whichever branch holds it
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
     cfg, params = diverging_params()
     cfg = dataclasses.replace(cfg, antisymmetrize=True)
@@ -892,11 +882,17 @@ def test_forward_names_the_positive_branch_before_the_negative(monkeypatch, work
     sig[0] = np.e
     with np.errstate(over="ignore", invalid="ignore"):
         for fn in (forward, ref_forward):
-            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 2$"):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 0$"):
                 fn(params, cfg, x, sig)
         x[-1, 0] = 0.0
         for fn in (forward, ref_forward):
             with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 0$"):
+                fn(params, cfg, x, sig)
+        # only the negative branch fails: +x = (-1e20, 0) dies in layer 0's
+        # relu, and its mirror reaches -inf at layer 2
+        x[0, 0], sig[0], x[-1, 0] = 0.0, 1.0, -1e20
+        for fn in (forward, ref_forward):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 2$"):
                 fn(params, cfg, x, sig)
 
 
@@ -1310,9 +1306,10 @@ def test_split_backward_reports_the_lowest_failing_layer(monkeypatch, workers):
                 fn(params, cfg, x, target, 1.0)
 
 
-def test_backward_names_the_positive_output_before_a_negative_hidden_layer():
+def test_backward_names_the_lowest_failing_layer_of_the_stacked_walk():
     # layer 0 sends +x and -x to different relu units; +x then overflows only
-    # in the output layer (2), -x already in hidden layer 1
+    # in the output layer (2), -x already in hidden layer 1, where the one
+    # stacked walk stops
     cfg = MlpConfig(input_dim=1, hidden_dim=2, num_hidden_layers=2, activation="relu",
                     antisymmetrize=True)
     params = init_params(cfg, np.random.default_rng(0))
@@ -1323,8 +1320,26 @@ def test_backward_names_the_positive_output_before_a_negative_hidden_layer():
     x = np.full((4, 1), 1e10)
     with np.errstate(over="ignore", invalid="ignore"):
         for fn in (backward, ref_backward):
-            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 2$"):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 1$"):
                 fn(params, cfg, x, np.zeros_like(x), 1.0)
+        params.weights[2][0] = 1.0  # +x now finite throughout: -x alone fails
+        for fn in (backward, ref_backward):
+            with pytest.raises(TrainingDivergedError, match="non-finite activations at layer 1$"):
+                fn(params, cfg, x, np.zeros_like(x), 1.0)
+
+
+def test_a_failed_walk_leaves_dest_as_it_was():
+    # only a walk that fails at no layer combines its two halves into dest
+    cfg, params = diverging_params(w2=-1e108)
+    cfg = dataclasses.replace(cfg, antisymmetrize=True)
+    h = np.zeros((8, 3))
+    h[0, 0] = 1e200  # +x reaches -inf at layer 2
+    zs = [np.empty((8, 4)) for _ in range(3)] + [np.empty((8, 2))]
+    dest = np.full((4, 2), 7.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert mlp._walk(params, cfg, h, zs, [], zs[:-1], dest, True) == 2
+    assert np.array_equal(h[4:, :2], -h[:4, :2]) and np.array_equal(h[4:, 2:], h[:4, 2:])
+    assert np.all(dest == 7.0)
 
 
 def test_training_runs_on_the_calling_thread_at_any_worker_count(monkeypatch):

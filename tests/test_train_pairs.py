@@ -1,7 +1,9 @@
 """The verdict of tools/train_pairs.py on the artifact hashes its runs wrote,
-and its reports of how far two trees' losses and samples are apart."""
+its reports of how far two trees' losses and samples are apart, and the run
+config it writes."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -102,3 +104,27 @@ def test_loss_gap_on_curves_of_different_length_and_no_steps(train_pairs):
         "change: loss tail 0.375",
         "loss curves differ in length: no per-step gap",
     ]
+
+
+@pytest.mark.parametrize("workload", ["ring", "s3"])
+def test_the_run_config_written_trains_the_asked_loss_kind(train_pairs, monkeypatch, workload):
+    # stop at the first `mdsm` run and read the config file it was given
+    written = []
+
+    class Stop(Exception):
+        pass
+
+    def first_run(tree, argv, out, taskset):
+        written.append(Path(argv[argv.index("--config") + 1]).read_text())
+        raise Stop
+
+    monkeypatch.setattr(train_pairs, "run_once", first_run)
+    repo = str(TOOL.parents[1])
+    for extra in ([], ["--loss-kind", "mad"], ["--loss-kind", "dsm"]):
+        with pytest.raises(Stop):
+            train_pairs.main([repo, repo, "--workload", workload, *extra])
+    # the default writes the workload's config byte for byte, as before the option
+    assert written[0] == written[1] == json.dumps(train_pairs.CONFIGS[workload])
+    default, dsm = json.loads(written[0]), json.loads(written[2])
+    assert default["training"]["loss_kind"] == "mad"
+    assert dsm == {**default, "training": {**default["training"], "loss_kind": "dsm"}}

@@ -2,7 +2,8 @@
 in alternating pairs.
 
     python tools/train_pairs.py BASE_TREE CHANGE_TREE [--pairs 10]
-        [--workload ring|s3] [--phase train|sample] [--taskset]
+        [--workload ring|s3] [--loss-kind mad|dsm] [--phase train|sample]
+        [--taskset]
 
 Each tree is a checkout of this repository; its `src/` goes first on
 PYTHONPATH.  Pair k runs the base tree first when k is even and the change
@@ -16,7 +17,8 @@ in effect.
 
 Workloads: `ring` is the README's ring run (relu 128x3, batch 512, 2000
 steps, seed 2, dataset seed 102); `s3` is the antisymmetrized silu 64x3 S^3
-run at batch 128 (1000 steps, seed 2, dataset seed 202).
+run at batch 128 (1000 steps, seed 2, dataset seed 202).  Both train the
+`mad` target unless --loss-kind dsm asks for the plain one.
 
 Phases: `train` times `mdsm train` and compares `checkpoint.bin` and
 `loss.csv`.  `sample` first trains one checkpoint with the base tree (not
@@ -80,6 +82,12 @@ TEXTS = {"train": ("loss.csv",), "sample": ARTIFACTS["sample"]}  # what the gap 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def run_config(workload: str, loss_kind: str) -> dict:
+    """The `mdsm train` run config of `workload`, training `loss_kind`."""
+    config = CONFIGS[workload]
+    return {**config, "training": {**config["training"], "loss_kind": loss_kind}}
+
+
 def run_once(tree: Path, argv: list[str], out: Path, taskset: bool) -> float:
     """Wall seconds of one `mdsm <argv> --out <out>` process from `tree`."""
     env = {**dict.fromkeys(THREAD_VARS, "1"), **os.environ}
@@ -106,6 +114,7 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path, help="source tree of the change")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workload", choices=sorted(CONFIGS), default="ring")
+    parser.add_argument("--loss-kind", choices=("mad", "dsm"), default="mad")
     parser.add_argument("--phase", choices=sorted(ARTIFACTS), default="train")
     parser.add_argument("--taskset", action="store_true", help="run each process on CPU 0 only")
     args = parser.parse_args(argv)
@@ -123,7 +132,7 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
     """Run the pairs with their files under tmp, print the summary, and return
     the exit status."""
     cfg = tmp / "run.json"
-    cfg.write_text(json.dumps(CONFIGS[args.workload]))
+    cfg.write_text(json.dumps(run_config(args.workload, args.loss_kind)))
     command = ["train", "--config", str(cfg)]
     if args.phase == "sample":
         run_once(trees["base"], command, tmp / "checkpoint", args.taskset)
@@ -153,7 +162,9 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
               f"change {seconds['change'][-1]:.3f} s", flush=True)
 
     pin = " under taskset -c 0" if args.taskset else ""
-    print(f"\n{args.workload} mdsm {args.phase}, {args.pairs} pairs{pin}: median [q1, q3] seconds")
+    kind = "" if args.loss_kind == "mad" else f" ({args.loss_kind})"
+    print(f"\n{args.workload}{kind} mdsm {args.phase}, {args.pairs} pairs{pin}: "
+          "median [q1, q3] seconds")
     for side in trees:
         q1, med, q3 = quartiles(seconds[side])
         print(f"  {side:6s} {med:.3f} [{q1:.3f}, {q3:.3f}]")
