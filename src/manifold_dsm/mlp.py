@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import CheckpointFormatError, TrainingDivergedError
-from .rowblocks import BLOCK_ROWS, map_shards, worker_blocks
+from .rowblocks import map_shards, worker_blocks
 
 __all__ = [
     "MlpConfig",
@@ -254,7 +254,8 @@ def _walk(params: _FlatLayers, config: MlpConfig, h, zs, sgs, acts, dest, check:
 def _blocked_forward(params: _FlatLayers, config: MlpConfig, ws: SimpleNamespace,
                      check: bool, out: np.ndarray) -> None:
     """Run the net on the input rows in ws.inputs into `out`, one `_walk` per
-    block of `worker_blocks`' grid while the block's rows stay in cache.
+    block of `worker_blocks`' grid (at most 1,024 rows a block) while the
+    block's rows stay in cache.
 
     A GEMM's bytes depend on its row count (OpenBLAS runs a few rows through
     other kernels, GEMV for one), so blocks that depend on the row count
@@ -330,14 +331,17 @@ def _forward_workspace(config: MlpConfig, n: int) -> SimpleNamespace:
     """float32 buffers for a forward on n rows: the parameter copy, the
     assembled input, and per run of `worker_blocks` the run's blocks, two
     hidden block buffers and, with antisymmetrize, the stacked block input and
-    output (else None), all owned by the caller, so pool threads keep none."""
+    output (else None), all owned by the caller, so pool threads keep none.
+    A block buffer holds the largest block, at most 1,024 rows (2,048 stacked):
+    512 KB at width 128, or 64 stacked, so a run's two hidden ones fit a 2 MB L2."""
     runs = worker_blocks(n)
     shapes = config.layer_shapes()
     width = config.input_dim + config.embed_dim
     anti = config.antisymmetrize
+    rows = max((stop - start for run in runs for start, stop in run), default=0)
 
     def build():
-        block = lambda cols: np.empty((min(n, BLOCK_ROWS) * (1 + anti), cols), dtype=np.float32)
+        block = lambda cols: np.empty((rows * (1 + anti), cols), dtype=np.float32)
         return SimpleNamespace(
             params=_FlatLayers(np.empty(_flat_size(shapes), dtype=np.float32), shapes),
             inputs=np.empty((n, width), dtype=np.float32),

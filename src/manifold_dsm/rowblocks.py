@@ -15,7 +15,7 @@ import threading
 
 import numpy as np
 
-BLOCK_ROWS = 512
+BLOCK_ROWS = 1024
 
 
 def _cpus() -> int:
@@ -75,11 +75,13 @@ def split_rows(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
 
 
 def worker_blocks(n: int) -> list[list[tuple[int, int]]]:
-    """The ceil(n / BLOCK_ROWS) near-equal blocks of n rows, dealt out as one
-    contiguous run of whole blocks per worker, at most one run per block.
-    The blocks depend on n alone, so a per-block result does not depend on
-    the worker count; each holds 256 to 512 rows once n > BLOCK_ROWS."""
-    blocks = split_rows(0, n, -(-n // BLOCK_ROWS))
+    """Near-equal blocks of n rows, one up to BLOCK_ROWS // 2 rows, else an
+    even count (equal runs for two workers) of 256-512 rows up to BLOCK_ROWS
+    and 512-BLOCK_ROWS beyond, dealt out as one contiguous run of whole
+    blocks per worker, at most one run per block.  The blocks depend on n
+    alone, so a per-block result does not depend on the worker count."""
+    parts = 2 * -(-n // (2 * BLOCK_ROWS)) if n > BLOCK_ROWS // 2 else min(n, 1)
+    blocks = split_rows(0, n, parts)
     return [blocks[a:b] for a, b in split_rows(0, len(blocks), min(_WORKERS, len(blocks)))]
 
 

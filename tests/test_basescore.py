@@ -27,6 +27,7 @@ from manifold_dsm.basescore import (
     exact_score_discrete,
     mc_score_oracle,
     _softmax_weights,
+    _sphere_radius,
     posterior_mean_discrete,
 )
 from manifold_dsm.errors import DegenerateInputError, UnreliableEstimateError
@@ -479,6 +480,23 @@ def test_nsphere_score_rows_do_not_depend_on_the_batch(n):
     batch = base_score_nsphere(x, sig, n)
     for i in range(200):
         assert base_score_nsphere(x[i], sig[i], n).tobytes() == batch[i].tobytes(), i
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 51, 128])
+def test_sphere_radius_matches_numpy_norm(dim):
+    # summed a column at a time, the squares add in np.linalg.norm's order up
+    # to 7 columns; from 8 on numpy's pairwise sum unrolls and adds them in
+    # another order, which moves a radius by a few ulp (5 at most seen, at 128
+    # columns), within the dim ulp that dim rounded additions allow
+    rng = np.random.default_rng(dim)
+    x = rng.standard_normal((2000, dim)) * np.exp(rng.uniform(-5.0, 30.0, (2000, 1)))
+    want = np.linalg.norm(x, axis=-1)
+    got = _sphere_radius(x)
+    if dim <= 7:
+        assert got.tobytes() == want.tobytes()
+        assert _sphere_radius(x[0]).tobytes() == want[0].tobytes()
+    else:
+        assert np.all(np.abs(got - want) <= dim * np.spacing(want))
 
 
 def test_batch_and_scalar_shapes():

@@ -428,11 +428,15 @@ def test_sample_past_float32_range_exits_two(tmp_path, capsys):
     assert not [w for w in caught if "cast" in str(w.message)]
 
 
-# At 2049 rows, blocks cut from each worker's range would hold 341-342 rows
-# at three workers and 409-410 at one, and the ring's samples would differ.
+# The grid cuts 2049 rows into four blocks of 512-513 rows at any worker
+# count; blocks cut from each worker's range would hold 683 rows at one and
+# at three workers but 1,024 or 512-513 at two, and the ring's samples would
+# differ.  4097 rows make six blocks of 682-683 rows, dealt 3/3 at two
+# workers and 2/2/2 at three.
 @pytest.mark.parametrize(
-    "run, n", [(README_RUN, "1537"), (README_RUN, "2049"), (S3_RUN, "1537")],
-    ids=["readme_ring-1537", "readme_ring-2049", "antisymmetric_s3-1537"])
+    "run, n",
+    [(README_RUN, "1537"), (README_RUN, "2049"), (README_RUN, "4097"), (S3_RUN, "1537")],
+    ids=["readme_ring-1537", "readme_ring-2049", "readme_ring-4097", "antisymmetric_s3-1537"])
 def test_sample_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, run, n):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(run))

@@ -287,8 +287,14 @@ def ref_plain_forward(params, config, h, keep):
 
 
 def ref_grid(n):
-    """The forward's blocks: ceil(n / 512) near-equal contiguous pieces of n rows."""
-    parts = -(-n // 512)
+    """The forward's blocks: all n rows as one up to 512 rows, else the fewest
+    even count of near-equal contiguous pieces that holds at most 1,024 rows
+    a piece."""
+    if n <= 512:
+        return [(0, n)] if n else []
+    parts = 2
+    while n > 1024 * parts:
+        parts += 2
     return [(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
@@ -718,11 +724,14 @@ def test_training_steps_do_not_fault_pages_in(monkeypatch):
     assert per_step < 20, f"{per_step} minor faults per training step"
 
 
-# Row counts around the 512-row block: one row, a block and a row either side,
-# two blocks and a row (1025), ranges of a block and a row at two and three
-# workers (1026, 1539), many blocks, and a 10k sampling batch with and
-# without a row past its last full block.
-BLOCK_EDGE_ROWS = [1, 2, 511, 512, 513, 1025, 1026, 1539, 4096, 10000, 10001]
+# Row counts around the grid's edges: one row, one block of 512 and a row
+# either side, two blocks up to 1,024 rows and a row either side, two
+# 1,024-row blocks and a row either side (2047-2049), ranges of a block and a
+# row at two and three workers (1026, 1539), the S^3 sampling batch and a
+# row past it (4096, 4097: four blocks, then six), and a 10k sampling batch
+# with and without a row past an even split.
+BLOCK_EDGE_ROWS = [1, 2, 511, 512, 513, 1023, 1024, 1025, 1026, 1539, 2047, 2048, 2049,
+                   4096, 4097, 10000, 10001]
 
 
 def forward_bytes_by_workers(monkeypatch, params, cfg, x, sig):
@@ -767,10 +776,12 @@ def test_blocked_forward_matches_reference_bitwise_at_width_512(monkeypatch, act
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_forward_blocks_hold_half_a_block_to_a_block(monkeypatch, workers):
-    # the grid of 256-512-row blocks depends on the row count alone, and each
-    # worker walks one contiguous run of whole blocks; an antisymmetric net
-    # walks each block once, its rows stacked over their mirror, and backward
-    # walks its whole batch, stacked the same way, once per call
+    # the grid depends on the row count alone: one block up to 512 rows, two
+    # of 256-512 rows up to 1,024, and beyond that an even count of 512-1,024
+    # rows each; each worker walks one contiguous run of whole blocks; an
+    # antisymmetric net walks each block once, its rows stacked over their
+    # mirror, and backward walks its whole batch, stacked the same way, once
+    # per call
     monkeypatch.setattr(rowblocks, "_WORKERS", workers)
     walked = []
 
@@ -783,11 +794,12 @@ def test_forward_blocks_hold_half_a_block_to_a_block(monkeypatch, workers):
         cfg = tiny_config(hidden_dim=8, antisymmetrize=antisym)
         params = randomized_params(cfg, 44)
         branches = 2 if antisym else 1
-        for rows in [1, 511, 512, 513, 1023, 1025, 1537, 2049, 10000]:
+        for rows in [1, 511, 512, 513, 1023, 1024, 1025, 1537, 2048, 2049, 4097, 10000]:
             grid = ref_grid(rows)
             sizes = [stop - start for start, stop in grid]
-            assert max(sizes) <= rowblocks.BLOCK_ROWS
-            assert min(sizes) >= min(rows, rowblocks.BLOCK_ROWS // 2)
+            low, high = (rows, rows) if rows <= 512 else (256, 512) if rows <= 1024 else (512, 1024)
+            assert low <= min(sizes) and max(sizes) <= high
+            assert len(grid) == 1 or len(grid) % 2 == 0
             runs = rowblocks.worker_blocks(rows)
             assert len(runs) == min(workers, len(grid)) and all(runs)
             assert sum(runs, []) == grid
@@ -1262,8 +1274,9 @@ def test_forward_and_training_keep_at_most_one_workspace(monkeypatch):
     assert alive == [False] * 5
 
 
-# Row counts around 512, the sampling forward's block size; backward runs
-# every batch as one pass on the calling thread.
+# Row counts around 512 and 1,024, where the sampling forward's grid changes
+# its block count; backward runs every batch as one pass on the calling
+# thread, whatever the grid.
 SPLIT_EDGE_ROWS = [1, 2, 255, 511, 512, 513, 1024, 1025]
 
 

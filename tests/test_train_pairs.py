@@ -1,6 +1,6 @@
 """The verdict of tools/train_pairs.py on the artifact hashes its runs wrote,
-its reports of how far two trees' losses and samples are apart, and the run
-config it writes."""
+its reports of how far two trees' losses and samples are apart, the run
+config it writes and the row count it samples."""
 
 import importlib.util
 import json
@@ -128,3 +128,35 @@ def test_the_run_config_written_trains_the_asked_loss_kind(train_pairs, monkeypa
     default, dsm = json.loads(written[0]), json.loads(written[2])
     assert default["training"]["loss_kind"] == "mad"
     assert dsm == {**default, "training": {**default["training"], "loss_kind": "dsm"}}
+
+
+@pytest.mark.parametrize("workload,default", [("ring", "10000"), ("s3", "4096")])
+def test_the_sample_phase_samples_the_asked_row_count(train_pairs, monkeypatch, workload,
+                                                       default):
+    # the first `mdsm` run trains the checkpoint; stop at the first sample run
+    sampled = []
+
+    class Stop(Exception):
+        pass
+
+    def run(tree, argv, out, taskset):
+        if argv[0] == "sample":
+            sampled.append(argv[argv.index("--n") + 1])
+            raise Stop
+
+    monkeypatch.setattr(train_pairs, "run_once", run)
+    repo = str(TOOL.parents[1])
+    for extra in ([], ["--n", "2049"]):
+        with pytest.raises(Stop):
+            train_pairs.main([repo, repo, "--workload", workload, "--phase", "sample", *extra])
+    assert sampled == [default, "2049"]
+
+
+@pytest.mark.parametrize("argv", [["--n", "2049"], ["--phase", "sample", "--n", "0"]],
+                         ids=["train_phase", "no_rows"])
+def test_a_row_count_needs_the_sample_phase_and_a_row(train_pairs, capsys, argv):
+    repo = str(TOOL.parents[1])
+    with pytest.raises(SystemExit) as exit_:
+        train_pairs.main([repo, repo, *argv])
+    assert exit_.value.code == 2
+    assert "--n takes a row count >= 1, with --phase sample" in capsys.readouterr().err

@@ -3,7 +3,7 @@ in alternating pairs.
 
     python tools/train_pairs.py BASE_TREE CHANGE_TREE [--pairs 10]
         [--workload ring|s3] [--loss-kind mad|dsm] [--phase train|sample]
-        [--taskset]
+        [--n ROWS] [--taskset]
 
 Each tree is a checkout of this repository; its `src/` goes first on
 PYTHONPATH.  Pair k runs the base tree first when k is even and the change
@@ -22,9 +22,10 @@ run at batch 128 (1000 steps, seed 2, dataset seed 202).  Both train the
 
 Phases: `train` times `mdsm train` and compares `checkpoint.bin` and
 `loss.csv`.  `sample` first trains one checkpoint with the base tree (not
-timed), then times `mdsm sample --num-scales 300` from it, at n = 10000 with
-seed 502 on the ring and n = 4096 with seed 602 on S^3, and compares
-`samples.csv` and `metrics.log`.
+timed), then times `mdsm sample --num-scales 300` from it, with seed 502 on
+the ring and 602 on S^3, and compares `samples.csv` and `metrics.log`.  It
+samples --n rows, by default 10000 on the ring and 4096 on S^3 (perfbench's
+sizes); another count times and compares a size off the benchmark.
 
 Prints every pair, then per tree the median and quartiles of the seconds,
 the number of pairs the change won, and the sha256 of each compared artifact
@@ -116,10 +117,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=sorted(CONFIGS), default="ring")
     parser.add_argument("--loss-kind", choices=("mad", "dsm"), default="mad")
     parser.add_argument("--phase", choices=sorted(ARTIFACTS), default="train")
+    parser.add_argument("--n", type=int, help="rows to sample (--phase sample only); "
+                        "default 10000 on the ring, 4096 on S^3")
     parser.add_argument("--taskset", action="store_true", help="run each process on CPU 0 only")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if args.n is not None and (args.phase != "sample" or args.n < 1):
+        parser.error("--n takes a row count >= 1, with --phase sample")
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
         if not (tree / "src" / "manifold_dsm").is_dir():
@@ -133,10 +138,12 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
     the exit status."""
     cfg = tmp / "run.json"
     cfg.write_text(json.dumps(run_config(args.workload, args.loss_kind)))
-    command = ["train", "--config", str(cfg)]
+    command, rows = ["train", "--config", str(cfg)], ""
     if args.phase == "sample":
         run_once(trees["base"], command, tmp / "checkpoint", args.taskset)
         n, seed = SAMPLES[args.workload]
+        n = args.n or n
+        rows = f" --n {n}"
         command = ["sample", "--checkpoint", str(tmp / "checkpoint" / "checkpoint.bin"),
                    "--n", str(n), "--num-scales", str(SAMPLE_SCALES), "--seed", str(seed)]
     artifacts = ARTIFACTS[args.phase]
@@ -163,7 +170,7 @@ def compare(trees: dict[str, Path], args, tmp: Path) -> int:
 
     pin = " under taskset -c 0" if args.taskset else ""
     kind = "" if args.loss_kind == "mad" else f" ({args.loss_kind})"
-    print(f"\n{args.workload}{kind} mdsm {args.phase}, {args.pairs} pairs{pin}: "
+    print(f"\n{args.workload}{kind} mdsm {args.phase}{rows}, {args.pairs} pairs{pin}: "
           "median [q1, q3] seconds")
     for side in trees:
         q1, med, q3 = quartiles(seconds[side])
